@@ -15,13 +15,12 @@ Methodology (see :mod:`benchmarks._timing`): interleaved rounds,
 best-of-N, CPU-time headline, digest guard.  One scope note specific to
 this benchmark:
 
-* The baseline carries the reference *algorithms* (linear tag scans,
-  scalar per-access loops) over the current data structures, which
-  include hashed-index upkeep the original tree did not pay on fills.
-  A checkout of the pre-PR tree measures ~1.85 s CPU on the default
-  config (vs ~2.5 s for the in-tree reference mode), so the speedup
-  against the true seed is ~1.3x; the in-tree ratio reported here tracks
-  the cost of the reference access algorithms themselves.
+* The baseline is the in-tree reference walk: per-access
+  ``SetAssocArray.access`` calls (linear tag scans over the same flat
+  per-level arrays the compiled walk uses) and scalar sampling.  The
+  fast side is the compiled walk when it loads; the record names the
+  backend that ran (``walk_backend``) and the host's CPU count, since
+  without a C compiler both sides run Python and the ratio collapses.
 
 Usage::
 
@@ -32,12 +31,14 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import os
 import platform
 
 import repro
 from repro.config import SimulationConfig
 from repro.core.experiment import run_server
 from repro.core.presets import hardharvest_block
+from repro.mem import walk_backend
 from repro.mem.cache import SLOWPATH_ENV
 
 from _timing import (
@@ -122,12 +123,14 @@ def main(argv=None) -> int:
         "speedup_cpu": round(speedup_cpu, 3),
         "speedup_wall": round(ref_wall / fast_wall, 3),
         "digest": digest,
+        "walk_backend": walk_backend(),
+        "nproc": os.cpu_count(),
         "baseline_note": (
-            "reference = in-tree REPRO_MEM_SLOWPATH algorithms (linear tag "
-            "scans, scalar access/sampling loops) over current data "
-            "structures; the pre-fast-path git tree measures ~1.85s CPU on "
-            "this config, ~1.3x vs the fast path. For the combined "
-            "memory+scheduler ratio see BENCH_sched_hotpath.json."
+            "reference = in-tree REPRO_MEM_SLOWPATH algorithms (per-access "
+            "walk with linear tag scans over the flat per-level arrays, "
+            "scalar sampling); fast = the batched walk on the backend named "
+            "in walk_backend. For the combined memory+scheduler ratio see "
+            "BENCH_sched_hotpath.json."
         ),
     }
     write_record(record, "BENCH_hotpath.json", args.out)

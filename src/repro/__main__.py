@@ -60,6 +60,7 @@ from repro.config import ControllerConfig, HierarchyConfig, SimulationConfig, Sy
 from repro.core.experiment import run_cluster, run_server, run_systems
 from repro.core.presets import all_systems, build_system
 from repro.hw.storage_cost import compute_storage_report
+from repro.mem import walk_backend
 from repro.workloads.microservices import SERVICE_NAMES
 
 SYSTEM_NAMES = [kind.value for kind in SystemKind]
@@ -133,6 +134,19 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 0
     res = run_server(system, simcfg)
     _print_result(name, res)
+    if args.stats_json:
+        import hashlib
+
+        from repro.core.export import server_result_to_dict
+        from repro.parallel.cache import canonical_json
+
+        payload = canonical_json(server_result_to_dict(res)).encode("utf-8")
+        _write_stats_json(args.stats_json, {
+            "digest": hashlib.sha256(payload).hexdigest(),
+            "system": name,
+            "seed": simcfg.seed,
+            "walk_backend": walk_backend(),
+        })
     return 0
 
 
@@ -326,6 +340,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             "resilience_curve": result.resilience_curve(),
             "resumed_from_epoch": result.resumed_epochs,
             "checkpoint_run_key": run_key,
+            "walk_backend": walk_backend(),
         })
     return 0
 
@@ -450,6 +465,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "workers": args.workers,
             "elapsed_s": outcome.elapsed_s,
             "cache": cache.stats.as_dict() if cache is not None else None,
+            "walk_backend": walk_backend(),
         })
     return 0
 
@@ -689,6 +705,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     system = build_system(kind)
     simcfg = _sim_config(args)
+    backend = walk_backend()
+    print(f"memory walk: {backend['backend']} ({backend['reason']})")
     profiler = cProfile.Profile()
     profiler.enable()
     run_server_raw(system, simcfg)
@@ -722,6 +740,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="load a serialized experiment (JSON) instead")
     p_run.add_argument("--dump-config", default=None,
                        help="write the experiment JSON and exit")
+    p_run.add_argument("--stats-json", default=None,
+                       help="write the result digest and the memory-walk "
+                            "backend as JSON")
     common(p_run)
     p_run.set_defaults(func=cmd_run)
 

@@ -75,7 +75,14 @@ def run_server(
     """Simulate one server to completion and summarize it."""
     sim = ServerSimulation(system, simcfg or SimulationConfig(), batch_job, server_index)
     sim.run()
-    return summarize(sim)
+    result = summarize(sim)
+    # The finished simulation is cyclic garbage now; free its cache/TLB
+    # arrays at once instead of whenever the collector gets to it.
+    for core in sim.cores:
+        core.memory.release()
+    for vm in (*sim.primary_vms, *sim.harvest_vms):
+        vm.llc.array.release()
+    return result
 
 
 def run_server_raw(

@@ -6,6 +6,7 @@ from repro.mem.coherence import Directory
 from repro.mem.dram import DramModel
 from repro.mem.prefetch import NextLinePrefetcher
 from repro.mem.hierarchy import CoreMemory, build_llc
+from repro.mem.kernel import walk_backend
 from repro.mem.partition import WayPartition, full_mask, harvest_mask
 from repro.mem.replacement import (
     CacheSet,
@@ -38,4 +39,5 @@ __all__ = [
     "RripPolicy",
     "HardHarvestPolicy",
     "make_policy",
+    "walk_backend",
 ]

@@ -20,7 +20,6 @@ from collections import defaultdict
 from typing import Dict, Iterable, List, Set
 
 from repro.mem.cache import Cache
-from repro.mem.partition import full_mask
 
 
 class Directory:
@@ -66,17 +65,7 @@ class Directory:
                 continue
             for cache in self._caches[sharer]:
                 set_index, tag = cache.locate(addr)
-                cset = cache.array.sets.get(set_index)
-                if cset is None:
-                    continue
-                if cset.seen_flush < cache.array._flush_epoch:
-                    cache.array._reconcile(cset)
-                way = cset.find(tag, full_mask(cache.array.ways))
-                if way >= 0:
-                    # Index-coherent invalidation: these sets are owned by a
-                    # SetAssocArray, whose hashed tag store must not go
-                    # stale when the directory knocks a line out.
-                    cset.invalidate_way(way)
+                if cache.array.invalidate(set_index, tag):
                     invalidated += 1
             self._sharers[line].discard(sharer)
         self.invalidations_sent += invalidated

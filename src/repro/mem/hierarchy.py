@@ -10,14 +10,17 @@ operates directly on the arrays, so cold-restart misses emerge naturally.
 
 from __future__ import annotations
 
+import ctypes
 from typing import Optional
 
+import numpy as np
+
 from repro.config import HierarchyConfig, PartitionConfig, ReplacementKind
-from repro.mem.cache import Cache
+from repro.mem import kernel
+from repro.mem.cache import Cache, slowpath_enabled
 from repro.mem.dram import DramModel
 from repro.mem.partition import WayPartition, full_mask
 from repro.mem.replacement import (
-    CacheSet,
     HardHarvestPolicy,
     LruPolicy,
     ReplacementPolicy,
@@ -25,6 +28,9 @@ from repro.mem.replacement import (
 )
 from repro.mem.tlb import Tlb
 from repro.sim.units import cycles_to_ns
+
+_I64 = np.dtype(np.int64)
+_BOOL = np.dtype(np.bool_)
 
 
 def _policy_for(
@@ -110,28 +116,16 @@ class CoreMemory:
         # Modeling switch: "infinite caches" baseline for Figure 7.
         self.infinite = hierarchy.infinite
 
-        # Way masks are immutable once the partitions exist; resolving the
-        # properties per access is pure overhead on the hot path, so the
-        # fast path (access_batch) uses these precomputed tuples, ordered
-        # (l1_tlb, l2_tlb, l1i, l1d, l2).
-        self._masks_all = (
-            self.part_l1tlb.all_ways,
-            self.part_l2tlb.all_ways,
-            self.part_l1i.all_ways,
-            self.part_l1d.all_ways,
-            self.part_l2.all_ways,
-        )
-        self._masks_harvest = (
-            self.part_l1tlb.harvest,
-            self.part_l2tlb.harvest,
-            self.part_l1i.harvest,
-            self.part_l1d.harvest,
-            self.part_l2.harvest,
-        )
-        # Lazily-built static state for the batched fast path; see
-        # _build_batch_static / _build_llc_static.
-        self._batch_static = None
-        self._llc_static: dict = {}
+        # The compiled walk's prebuilt state (None: Python reference walk)
+        # and, per LLC partition seen, its step (keyed by id, holding a
+        # strong reference so the id is never recycled).
+        self._walk = None
+        self._core = None
+        self._llc_steps: dict = {}
+        self._arrays = (self.l1_tlb.array, self.l2_tlb.array, self.l1i.array,
+                        self.l1d.array, self.l2.array)
+        if not slowpath_enabled():
+            self._bind_kernel()
 
     # ------------------------------------------------------------------
     # Access path
@@ -196,778 +190,109 @@ class CoreMemory:
         return cycles_to_ns(cycles, h.freq_ghz) + self.dram.access_latency(now_ns)
 
     # ------------------------------------------------------------------
-    # Batched access path (the fast path)
+    # Batched access path (the compiled walk)
     # ------------------------------------------------------------------
-    def _level_state(self, cache_or_tlb, granularity_bytes: int):
-        """Static per-level constants for the inlined fast walk.
-
-        Everything here is fixed once the hierarchy is built — the set
-        dict, way count, policy callables, the ``simple`` flag (policy uses
-        the base ``on_hit``/``on_insert``, i.e. a plain recency bump, so
-        the walk can bump the stamp inline instead of making two calls per
-        access), whether the policy carries a harvest mask for Algorithm
-        1's empty-slot preference, the flush-bookkeeping containers (which
-        are mutated in place, never rebound), and the shift/mask address
-        decomposition.  Mutable values (flush epochs, the harvest mask
-        value, way masks) are re-read by ``access_batch`` on every call.
-
-        The last element is False when the geometry is not a power of two
-        (shift/mask decomposition would diverge from ``//``/``%``); the
-        walk then falls back to the reference path.
-        """
-        arr = cache_or_tlb.array
-        pol = arr.policy
-        simple = (
-            type(pol).on_hit is ReplacementPolicy.on_hit
-            and type(pol).on_insert is ReplacementPolicy.on_insert
-        )
-        has_hm = isinstance(pol, HardHarvestPolicy)
-        nsets = arr.num_sets
-        gb = granularity_bytes
-        gsh = gb.bit_length() - 1 if gb > 0 and gb & (gb - 1) == 0 else -1
-        tsh = nsets.bit_length() - 1 if nsets & (nsets - 1) == 0 else -1
-        return (
-            arr, arr.sets, arr.ways, pol, pol.choose_victim_full, pol.on_hit,
-            pol.on_insert, simple, has_hm, arr._way_flushed_at,
-            arr._stale_masks, gsh, nsets - 1, gsh + tsh,
-            gsh >= 0 and tsh >= 0,
-        )
-
     def _lat_table(self, round_trip_cycles: int):
         """ns latency of a level by translation outcome (0/1/2 = L1-TLB
-        hit / L2-TLB hit / page walk).
-
-        The per-access ``int(round(cycles / freq))`` of the reference walk
-        is reproduced exactly because the same integer cycle sums go
-        through the same expression here, just once instead of per access.
-        """
+        hit / L2-TLB hit / page walk): the same ``cycles_to_ns`` of the
+        same integer cycle sums as :meth:`access`, computed once."""
         h = self.hierarchy
-        freq = h.freq_ghz
-        trans = (
-            h.l1_tlb.round_trip_cycles,
-            h.l2_tlb.round_trip_cycles,
-            h.memory.page_walk_cycles,
-        )
-        return tuple(int(round((c + round_trip_cycles) / freq)) for c in trans)
+        trans = (h.l1_tlb.round_trip_cycles, h.l2_tlb.round_trip_cycles,
+                 h.memory.page_walk_cycles)
+        return [cycles_to_ns(c + round_trip_cycles, h.freq_ghz) for c in trans]
 
-    def _build_batch_static(self):
-        """Assemble (and memoize) the private-level state for access_batch."""
-        static = (
-            self._level_state(self.l1_tlb, self.l1_tlb.page_bytes),
-            self._level_state(self.l2_tlb, self.l2_tlb.page_bytes),
-            self._level_state(self.l1i, self.l1i.line_bytes),
-            self._level_state(self.l1d, self.l1d.line_bytes),
-            self._level_state(self.l2, self.l2.line_bytes),
-            self._lat_table(self.l1i.round_trip_cycles),
-            self._lat_table(self.l1d.round_trip_cycles),
-            self._lat_table(self.l2.round_trip_cycles),
-            self._lat_table(0),
-        )
-        self._batch_static = static
-        return static
+    def _step(self, unit, granule: int, part: Optional[WayPartition]):
+        """Kernel step for one level (``part`` None: the LLC, all ways)."""
+        lv = kernel.level(unit.array)
+        if lv is None:
+            return None
+        if part is None:
+            masks = (full_mask(unit.array.ways),) * 2
+        elif self.partition_cfg.enabled:
+            masks = (part.all_ways, part.harvest)
+        else:
+            masks = (part.all_ways, part.all_ways)
+        st = kernel.step(lv, unit.array, granule, masks,
+                         self._lat_table(unit.round_trip_cycles))
+        self._kernel_refs.append(lv)
+        return st
 
-    def _build_llc_static(self, llc: Cache):
-        """Per-LLC-partition state for access_batch, keyed by ``id(llc)``.
-
-        The tuple holds a strong reference to ``llc`` so the id key can
-        never be recycled by a new object.
-        """
-        entry = (
-            self._level_state(llc, llc.line_bytes),
-            self._lat_table(llc.round_trip_cycles),
-            full_mask(llc.array.ways),
-            llc,
-        )
-        self._llc_static[id(llc)] = entry
-        return entry
+    def _bind_kernel(self) -> None:
+        """Prebuild the compiled walk's state, if the kernel and every
+        private level qualify (else the Python reference walk runs)."""
+        fn = kernel.walk_function()
+        if fn is None or type(self.dram.config.access_ns) is not int:
+            return
+        self._kernel_refs: list = []
+        steps = [
+            self._step(self.l1_tlb, self.l1_tlb.page_bytes, self.part_l1tlb),
+            self._step(self.l2_tlb, self.l2_tlb.page_bytes, self.part_l2tlb),
+            self._step(self.l1i, self.l1i.line_bytes, self.part_l1i),
+            self._step(self.l1d, self.l1d.line_bytes, self.part_l1d),
+            self._step(self.l2, self.l2.line_bytes, self.part_l2),
+        ]
+        if None in steps:
+            return
+        mem = kernel.Step()
+        mem.lat[:] = self._lat_table(0)
+        self._core = kernel.Core(*steps, mem, ctypes.addressof(self.dram.state))
+        self._core_ptr = ctypes.addressof(self._core)
+        self._walk = fn
 
     def access_batch(self, batch, llc: Optional[Cache], is_primary: bool, now_ns: int) -> int:
         """Walk a whole :class:`~repro.workloads.memory_profile.AccessBatch`
         through the hierarchy; returns the summed latency in nanoseconds.
 
         Bit-identical to calling :meth:`access` once per element in batch
-        order — same state transitions, same counters, same per-access
-        integer-ns rounding — but with the per-level ``Cache``/``Tlb``/
-        ``SetAssocArray`` frames inlined into one loop: hashed tag lookup,
-        empty-way selection by bitmask, fill, and recency bump all happen
-        without a function call on the common paths, hit/miss counters
-        accumulate in locals, and the per-access cycle->ns conversions come
-        from a table of the (few) possible cycle totals.  The parity suite
-        (``tests/test_hotpath_parity.py``) pins this contract.
+        order — same state transitions, counters and per-access integer-ns
+        rounding (``tests/test_hotpath_parity.py``).  One call into the C
+        walk does the batch; Belady tracing, a level the kernel cannot walk,
+        or no kernel at all take the per-access reference instead.
         """
         n = len(batch)
         if n == 0:
             return 0
-
         if self.infinite:
             # Everything hits in L1: the Figure 7 "Inf" configuration.
             h = self.hierarchy
-            freq = h.freq_ghz
             tlb_rt = h.l1_tlb.round_trip_cycles
-            ns_i = int(round((tlb_rt + self.l1i.round_trip_cycles) / freq))
-            ns_d = int(round((tlb_rt + self.l1d.round_trip_cycles) / freq))
-            instrs = batch.instr.tolist()
-            n_instr = sum(instrs)
+            ns_i = cycles_to_ns(tlb_rt + self.l1i.round_trip_cycles, h.freq_ghz)
+            ns_d = cycles_to_ns(tlb_rt + self.l1d.round_trip_cycles, h.freq_ghz)
+            n_instr = sum(batch.instr.tolist())
             return n_instr * ns_i + (n - n_instr) * ns_d
-
-        static = self._batch_static
-        if static is None:
-            static = self._build_batch_static()
-        lvl_t1, lvl_t2, lvl_i, lvl_d, lvl_2, lat_i, lat_d, lat_2, lat_m = static
-        pow2 = lvl_t1[-1] and lvl_t2[-1] and lvl_i[-1] and lvl_d[-1] and lvl_2[-1]
-        if llc is not None:
-            entry = self._llc_static.get(id(llc))
+        walk = self._walk
+        llc_ptr = None
+        if walk is not None and llc is not None:
+            entry = self._llc_steps.get(id(llc))
             if entry is None:
-                entry = self._build_llc_static(llc)
-            lvl_l, lat_l, m_l, _ = entry
-            pow2 = pow2 and lvl_l[-1]
-        else:
-            lvl_l = None
-
-        if (
-            not pow2
-            or lvl_t1[0].trace is not None
-            or lvl_t2[0].trace is not None
-            or lvl_i[0].trace is not None
-            or lvl_d[0].trace is not None
-            or lvl_2[0].trace is not None
-            or (lvl_l is not None and lvl_l[0].trace is not None)
-        ):
-            # Belady trace recording (per-level appends) and non-power-of-2
-            # geometries: not worth specializing, use the reference walk.
+                st = self._step(llc, llc.line_bytes, None)
+                entry = self._llc_steps[id(llc)] = (
+                    st and ctypes.addressof(st), st, llc)
+            llc_ptr = entry[0]
+            if llc_ptr is None or llc.array.trace is not None:
+                walk = None
+        a = self._arrays
+        if walk is None or (a[0].trace is not None or a[1].trace is not None
+                            or a[2].trace is not None or a[3].trace is not None
+                            or a[4].trace is not None):
             acc = self.access
             total = 0
             for addr, sh, instr, wr in batch:
                 total += acc(addr, sh, instr, llc, is_primary, now_ns, wr)
             return total
+        bufs = (kernel.pin(batch.addr, _I64), kernel.pin(batch.shared, _BOOL),
+                kernel.pin(batch.instr, _BOOL), kernel.pin(batch.write, _BOOL))
+        harvest = 0 if is_primary or not self.partition_cfg.enabled else 1
+        total = walk(self._core_ptr, llc_ptr,
+                     *map(ctypes.addressof, bufs), n, now_ns, harvest)
+        if total < 0:
+            raise ValueError("no allowed ways in set (allowed mask empty)")
+        return total
 
-        addrs = batch.addr.tolist()
-        shareds = batch.shared.tolist()
-        instrs = batch.instr.tolist()
-        writes = batch.write.tolist()
-
-        if is_primary or not self.partition_cfg.enabled:
-            m_t1, m_t2, m_i, m_d, m_2 = self._masks_all
-        else:
-            m_t1, m_t2, m_i, m_d, m_2 = self._masks_harvest
-
-        # Per-level hoisted state (static parts cached; epochs and harvest
-        # masks re-read per call).
-        (a_t1, sets_t1, ways_t1, pol_t1, vic_t1, onhit_t1, onins_t1,
-         simple_t1, hhm_t1, fl_t1, sms_t1, gsh_t1, smsk_t1, fsh_t1, _) = lvl_t1
-        (a_t2, sets_t2, ways_t2, pol_t2, vic_t2, onhit_t2, onins_t2,
-         simple_t2, hhm_t2, fl_t2, sms_t2, gsh_t2, smsk_t2, fsh_t2, _) = lvl_t2
-        (a_i, sets_i, ways_i, pol_i, vic_i, onhit_i, onins_i,
-         simple_i, hhm_i, fl_i, sms_i, gsh_i, smsk_i, fsh_i, _) = lvl_i
-        (a_d, sets_d, ways_d, pol_d, vic_d, onhit_d, onins_d,
-         simple_d, hhm_d, fl_d, sms_d, gsh_d, smsk_d, fsh_d, _) = lvl_d
-        (a_2, sets_2, ways_2, pol_2, vic_2, onhit_2, onins_2,
-         simple_2, hhm_2, fl_2, sms_2, gsh_2, smsk_2, fsh_2, _) = lvl_2
-        hm_t1 = pol_t1.harvest_mask if hhm_t1 else None
-        hm_t2 = pol_t2.harvest_mask if hhm_t2 else None
-        hm_i = pol_i.harvest_mask if hhm_i else None
-        hm_d = pol_d.harvest_mask if hhm_d else None
-        hm_2 = pol_2.harvest_mask if hhm_2 else None
-        ep_t1, ep_t2 = a_t1._flush_epoch, a_t2._flush_epoch
-        ep_i, ep_d, ep_2 = a_i._flush_epoch, a_d._flush_epoch, a_2._flush_epoch
-        if lvl_l is not None:
-            (a_l, sets_l, ways_l, pol_l, vic_l, onhit_l, onins_l,
-             simple_l, hhm_l, fl_l, sms_l, gsh_l, smsk_l, fsh_l, _) = lvl_l
-            hm_l = pol_l.harvest_mask if hhm_l else None
-            ep_l = a_l._flush_epoch
-        else:
-            sets_l = None
-
-        # DRAM bandwidth-pressure model, inlined: identical float/int
-        # arithmetic to DramModel.access_latency, with the object state
-        # carried in locals for the duration of the batch and folded back
-        # after the loop (the simulation is single-threaded, a batch is
-        # atomic, and nothing reads DRAM state mid-batch).
-        dram = self.dram
-        d_cfg = dram.config
-        d_ns = d_cfg.access_ns
-        d_sat = dram.LINE_BYTES / d_cfg.bandwidth_gbps
-        d_avg = dram._avg_gap_ns
-        d_last = dram._last_access_ns
-        d_n = 0
-
-        h_t1 = ms_t1 = ev_t1 = wb_t1 = 0
-        h_t2 = ms_t2 = ev_t2 = wb_t2 = 0
-        h_i = ms_i = ev_i = wb_i = 0
-        h_d = ms_d = ev_d = wb_d = 0
-        h_2 = ms_2 = ev_2 = wb_2 = 0
-        h_l = ms_l = ev_l = wb_l = 0
-
-        total_ns = 0
-        for addr, sh, ins, wr in zip(addrs, shareds, instrs, writes):
-
-            # ---------------- L1 TLB ----------------
-            si = (addr >> gsh_t1) & smsk_t1
-            tag = addr >> fsh_t1
-            cset = sets_t1.get(si)
-            if cset is None:
-                cset = CacheSet(ways_t1)
-                cset.seen_flush = ep_t1
-                sets_t1[si] = cset
-            elif cset.seen_flush < ep_t1:
-                # Empty sets (the common case under frequent harvest
-                # flushes) only need their epoch stamped; TLB entries are
-                # never dirty (no write path reaches a TLB fill), so
-                # reconciliation cannot write back.
-                if cset.valid_mask:
-                    sn = cset.seen_flush
-                    st = sms_t1.get(sn)
-                    if st is None:
-                        st = 0
-                        for rw in range(ways_t1):
-                            if fl_t1[rw] > sn:
-                                st |= 1 << rw
-                        sms_t1[sn] = st
-                    st &= cset.valid_mask
-                    if st:
-                        cset.valid_mask &= ~st
-                        rv = cset.valid
-                        rt = cset.tags
-                        rix = cset.index
-                        while st:
-                            low = st & -st
-                            st ^= low
-                            rw = low.bit_length() - 1
-                            rv[rw] = False
-                            rtag = rt[rw]
-                            rm = rix[rtag] & ~low
-                            if rm:
-                                rix[rtag] = rm
-                            else:
-                                del rix[rtag]
-                cset.seen_flush = ep_t1
-            index = cset.index
-            mf = index.get(tag)
-            m = mf and mf & m_t1
-            if m:
-                w = (m & -m).bit_length() - 1
-                h_t1 += 1
-                if simple_t1:
-                    c = cset.clock + 1
-                    cset.clock = c
-                    cset.stamp[w] = c
-                else:
-                    onhit_t1(cset, w)
-                t = 0
-            else:
-                ms_t1 += 1
-                empty = m_t1 & ~cset.valid_mask
-                if empty:
-                    if hm_t1 is not None:
-                        pref = (empty & ~hm_t1) if sh else (empty & hm_t1)
-                        if pref:
-                            empty = pref
-                    victim = (empty & -empty).bit_length() - 1
-                else:
-                    victim = vic_t1(cset, sh, m_t1)
-                vbit = 1 << victim
-                if cset.valid_mask & vbit:
-                    ev_t1 += 1
-                    otag = cset.tags[victim]
-                    old = index[otag] & ~vbit
-                    if old:
-                        index[otag] = old
-                    else:
-                        del index[otag]
-                cset.tags[victim] = tag
-                cset.valid[victim] = True
-                cset.shared[victim] = sh
-                cset.valid_mask |= vbit
-                index[tag] = mf | vbit if mf else vbit
-                if simple_t1:
-                    c = cset.clock + 1
-                    cset.clock = c
-                    cset.stamp[victim] = c
-                else:
-                    onins_t1(cset, victim, sh)
-
-                # ---------------- L2 TLB ----------------
-                si = (addr >> gsh_t2) & smsk_t2
-                tag = addr >> fsh_t2
-                cset = sets_t2.get(si)
-                if cset is None:
-                    cset = CacheSet(ways_t2)
-                    cset.seen_flush = ep_t2
-                    sets_t2[si] = cset
-                elif cset.seen_flush < ep_t2:
-                    if cset.valid_mask:
-                        sn = cset.seen_flush
-                        st = sms_t2.get(sn)
-                        if st is None:
-                            st = 0
-                            for rw in range(ways_t2):
-                                if fl_t2[rw] > sn:
-                                    st |= 1 << rw
-                            sms_t2[sn] = st
-                        st &= cset.valid_mask
-                        if st:
-                            cset.valid_mask &= ~st
-                            rv = cset.valid
-                            rt = cset.tags
-                            rix = cset.index
-                            while st:
-                                low = st & -st
-                                st ^= low
-                                rw = low.bit_length() - 1
-                                rv[rw] = False
-                                rtag = rt[rw]
-                                rm = rix[rtag] & ~low
-                                if rm:
-                                    rix[rtag] = rm
-                                else:
-                                    del rix[rtag]
-                    cset.seen_flush = ep_t2
-                index = cset.index
-                mf = index.get(tag)
-                m = mf and mf & m_t2
-                if m:
-                    w = (m & -m).bit_length() - 1
-                    h_t2 += 1
-                    if simple_t2:
-                        c = cset.clock + 1
-                        cset.clock = c
-                        cset.stamp[w] = c
-                    else:
-                        onhit_t2(cset, w)
-                    t = 1
-                else:
-                    ms_t2 += 1
-                    empty = m_t2 & ~cset.valid_mask
-                    if empty:
-                        if hm_t2 is not None:
-                            pref = (empty & ~hm_t2) if sh else (empty & hm_t2)
-                            if pref:
-                                empty = pref
-                        victim = (empty & -empty).bit_length() - 1
-                    else:
-                        victim = vic_t2(cset, sh, m_t2)
-                    vbit = 1 << victim
-                    if cset.valid_mask & vbit:
-                        ev_t2 += 1
-                        otag = cset.tags[victim]
-                        old = index[otag] & ~vbit
-                        if old:
-                            index[otag] = old
-                        else:
-                            del index[otag]
-                    cset.tags[victim] = tag
-                    cset.valid[victim] = True
-                    cset.shared[victim] = sh
-                    cset.valid_mask |= vbit
-                    index[tag] = mf | vbit if mf else vbit
-                    if simple_t2:
-                        c = cset.clock + 1
-                        cset.clock = c
-                        cset.stamp[victim] = c
-                    else:
-                        onins_t2(cset, victim, sh)
-                    # Page walk; the L2 TLB fill above already installed it.
-                    t = 2
-
-            # ---------------- L1 I/D ----------------
-            if ins:
-                si = (addr >> gsh_i) & smsk_i
-                tag = addr >> fsh_i
-                cset = sets_i.get(si)
-                if cset is None:
-                    cset = CacheSet(ways_i)
-                    cset.seen_flush = ep_i
-                    sets_i[si] = cset
-                elif cset.seen_flush < ep_i:
-                    st = cset.valid_mask
-                    if st:
-                        sn = cset.seen_flush
-                        sm = sms_i.get(sn)
-                        if sm is None:
-                            sm = 0
-                            for rw in range(ways_i):
-                                if fl_i[rw] > sn:
-                                    sm |= 1 << rw
-                            sms_i[sn] = sm
-                        st &= sm
-                    if st:
-                        cset.valid_mask &= ~st
-                        rv = cset.valid
-                        rt = cset.tags
-                        rd = cset.dirty
-                        rix = cset.index
-                        while st:
-                            low = st & -st
-                            st ^= low
-                            rw = low.bit_length() - 1
-                            rv[rw] = False
-                            rtag = rt[rw]
-                            rm = rix[rtag] & ~low
-                            if rm:
-                                rix[rtag] = rm
-                            else:
-                                del rix[rtag]
-                            if rd[rw]:
-                                rd[rw] = False
-                                wb_i += 1
-                    cset.seen_flush = ep_i
-                index = cset.index
-                mf = index.get(tag)
-                m = mf and mf & m_i
-                if m:
-                    w = (m & -m).bit_length() - 1
-                    h_i += 1
-                    if wr:
-                        cset.dirty[w] = True
-                    if simple_i:
-                        c = cset.clock + 1
-                        cset.clock = c
-                        cset.stamp[w] = c
-                    else:
-                        onhit_i(cset, w)
-                    total_ns += lat_i[t]
-                    continue
-                ms_i += 1
-                empty = m_i & ~cset.valid_mask
-                if empty:
-                    if hm_i is not None:
-                        pref = (empty & ~hm_i) if sh else (empty & hm_i)
-                        if pref:
-                            empty = pref
-                    victim = (empty & -empty).bit_length() - 1
-                else:
-                    victim = vic_i(cset, sh, m_i)
-                vbit = 1 << victim
-                if cset.valid_mask & vbit:
-                    ev_i += 1
-                    if cset.dirty[victim]:
-                        wb_i += 1
-                    otag = cset.tags[victim]
-                    old = index[otag] & ~vbit
-                    if old:
-                        index[otag] = old
-                    else:
-                        del index[otag]
-                cset.tags[victim] = tag
-                cset.valid[victim] = True
-                cset.shared[victim] = sh
-                cset.dirty[victim] = wr
-                cset.valid_mask |= vbit
-                index[tag] = mf | vbit if mf else vbit
-                if simple_i:
-                    c = cset.clock + 1
-                    cset.clock = c
-                    cset.stamp[victim] = c
-                else:
-                    onins_i(cset, victim, sh)
-            else:
-                si = (addr >> gsh_d) & smsk_d
-                tag = addr >> fsh_d
-                cset = sets_d.get(si)
-                if cset is None:
-                    cset = CacheSet(ways_d)
-                    cset.seen_flush = ep_d
-                    sets_d[si] = cset
-                elif cset.seen_flush < ep_d:
-                    st = cset.valid_mask
-                    if st:
-                        sn = cset.seen_flush
-                        sm = sms_d.get(sn)
-                        if sm is None:
-                            sm = 0
-                            for rw in range(ways_d):
-                                if fl_d[rw] > sn:
-                                    sm |= 1 << rw
-                            sms_d[sn] = sm
-                        st &= sm
-                    if st:
-                        cset.valid_mask &= ~st
-                        rv = cset.valid
-                        rt = cset.tags
-                        rd = cset.dirty
-                        rix = cset.index
-                        while st:
-                            low = st & -st
-                            st ^= low
-                            rw = low.bit_length() - 1
-                            rv[rw] = False
-                            rtag = rt[rw]
-                            rm = rix[rtag] & ~low
-                            if rm:
-                                rix[rtag] = rm
-                            else:
-                                del rix[rtag]
-                            if rd[rw]:
-                                rd[rw] = False
-                                wb_d += 1
-                    cset.seen_flush = ep_d
-                index = cset.index
-                mf = index.get(tag)
-                m = mf and mf & m_d
-                if m:
-                    w = (m & -m).bit_length() - 1
-                    h_d += 1
-                    if wr:
-                        cset.dirty[w] = True
-                    if simple_d:
-                        c = cset.clock + 1
-                        cset.clock = c
-                        cset.stamp[w] = c
-                    else:
-                        onhit_d(cset, w)
-                    total_ns += lat_d[t]
-                    continue
-                ms_d += 1
-                empty = m_d & ~cset.valid_mask
-                if empty:
-                    if hm_d is not None:
-                        pref = (empty & ~hm_d) if sh else (empty & hm_d)
-                        if pref:
-                            empty = pref
-                    victim = (empty & -empty).bit_length() - 1
-                else:
-                    victim = vic_d(cset, sh, m_d)
-                vbit = 1 << victim
-                if cset.valid_mask & vbit:
-                    ev_d += 1
-                    if cset.dirty[victim]:
-                        wb_d += 1
-                    otag = cset.tags[victim]
-                    old = index[otag] & ~vbit
-                    if old:
-                        index[otag] = old
-                    else:
-                        del index[otag]
-                cset.tags[victim] = tag
-                cset.valid[victim] = True
-                cset.shared[victim] = sh
-                cset.dirty[victim] = wr
-                cset.valid_mask |= vbit
-                index[tag] = mf | vbit if mf else vbit
-                if simple_d:
-                    c = cset.clock + 1
-                    cset.clock = c
-                    cset.stamp[victim] = c
-                else:
-                    onins_d(cset, victim, sh)
-
-            # ---------------- L2 ----------------
-            si = (addr >> gsh_2) & smsk_2
-            tag = addr >> fsh_2
-            cset = sets_2.get(si)
-            if cset is None:
-                cset = CacheSet(ways_2)
-                cset.seen_flush = ep_2
-                sets_2[si] = cset
-            elif cset.seen_flush < ep_2:
-                st = cset.valid_mask
-                if st:
-                    sn = cset.seen_flush
-                    sm = sms_2.get(sn)
-                    if sm is None:
-                        sm = 0
-                        for rw in range(ways_2):
-                            if fl_2[rw] > sn:
-                                sm |= 1 << rw
-                        sms_2[sn] = sm
-                    st &= sm
-                if st:
-                    cset.valid_mask &= ~st
-                    rv = cset.valid
-                    rt = cset.tags
-                    rd = cset.dirty
-                    rix = cset.index
-                    while st:
-                        low = st & -st
-                        st ^= low
-                        rw = low.bit_length() - 1
-                        rv[rw] = False
-                        rtag = rt[rw]
-                        rm = rix[rtag] & ~low
-                        if rm:
-                            rix[rtag] = rm
-                        else:
-                            del rix[rtag]
-                        if rd[rw]:
-                            rd[rw] = False
-                            wb_2 += 1
-                cset.seen_flush = ep_2
-            index = cset.index
-            mf = index.get(tag)
-            m = mf and mf & m_2
-            if m:
-                w = (m & -m).bit_length() - 1
-                h_2 += 1
-                if simple_2:
-                    c = cset.clock + 1
-                    cset.clock = c
-                    cset.stamp[w] = c
-                else:
-                    onhit_2(cset, w)
-                total_ns += lat_2[t]
-                continue
-            ms_2 += 1
-            empty = m_2 & ~cset.valid_mask
-            if empty:
-                if hm_2 is not None:
-                    pref = (empty & ~hm_2) if sh else (empty & hm_2)
-                    if pref:
-                        empty = pref
-                victim = (empty & -empty).bit_length() - 1
-            else:
-                victim = vic_2(cset, sh, m_2)
-            vbit = 1 << victim
-            if cset.valid_mask & vbit:
-                ev_2 += 1
-                if cset.dirty[victim]:
-                    wb_2 += 1
-                otag = cset.tags[victim]
-                old = index[otag] & ~vbit
-                if old:
-                    index[otag] = old
-                else:
-                    del index[otag]
-            cset.tags[victim] = tag
-            cset.valid[victim] = True
-            cset.shared[victim] = sh
-            cset.dirty[victim] = False
-            cset.valid_mask |= vbit
-            index[tag] = mf | vbit if mf else vbit
-            if simple_2:
-                c = cset.clock + 1
-                cset.clock = c
-                cset.stamp[victim] = c
-            else:
-                onins_2(cset, victim, sh)
-
-            # ---------------- LLC ----------------
-            if sets_l is not None:
-                si = (addr >> gsh_l) & smsk_l
-                tag = addr >> fsh_l
-                cset = sets_l.get(si)
-                if cset is None:
-                    cset = CacheSet(ways_l)
-                    cset.seen_flush = ep_l
-                    sets_l[si] = cset
-                elif cset.seen_flush < ep_l:
-                    st = cset.valid_mask
-                    if st:
-                        sn = cset.seen_flush
-                        sm = sms_l.get(sn)
-                        if sm is None:
-                            sm = 0
-                            for rw in range(ways_l):
-                                if fl_l[rw] > sn:
-                                    sm |= 1 << rw
-                            sms_l[sn] = sm
-                        st &= sm
-                    if st:
-                        cset.valid_mask &= ~st
-                        rv = cset.valid
-                        rt = cset.tags
-                        rd = cset.dirty
-                        rix = cset.index
-                        while st:
-                            low = st & -st
-                            st ^= low
-                            rw = low.bit_length() - 1
-                            rv[rw] = False
-                            rtag = rt[rw]
-                            rm = rix[rtag] & ~low
-                            if rm:
-                                rix[rtag] = rm
-                            else:
-                                del rix[rtag]
-                            if rd[rw]:
-                                rd[rw] = False
-                                wb_l += 1
-                    cset.seen_flush = ep_l
-                index = cset.index
-                mf = index.get(tag)
-                m = mf and mf & m_l
-                if m:
-                    w = (m & -m).bit_length() - 1
-                    h_l += 1
-                    if simple_l:
-                        c = cset.clock + 1
-                        cset.clock = c
-                        cset.stamp[w] = c
-                    else:
-                        onhit_l(cset, w)
-                    total_ns += lat_l[t]
-                    continue
-                ms_l += 1
-                empty = m_l & ~cset.valid_mask
-                if empty:
-                    if hm_l is not None:
-                        pref = (empty & ~hm_l) if sh else (empty & hm_l)
-                        if pref:
-                            empty = pref
-                    victim = (empty & -empty).bit_length() - 1
-                else:
-                    victim = vic_l(cset, sh, m_l)
-                vbit = 1 << victim
-                if cset.valid_mask & vbit:
-                    ev_l += 1
-                    if cset.dirty[victim]:
-                        wb_l += 1
-                    otag = cset.tags[victim]
-                    old = index[otag] & ~vbit
-                    if old:
-                        index[otag] = old
-                    else:
-                        del index[otag]
-                cset.tags[victim] = tag
-                cset.valid[victim] = True
-                cset.shared[victim] = sh
-                cset.dirty[victim] = False
-                cset.valid_mask |= vbit
-                index[tag] = mf | vbit if mf else vbit
-                if simple_l:
-                    c = cset.clock + 1
-                    cset.clock = c
-                    cset.stamp[victim] = c
-                else:
-                    onins_l(cset, victim, sh)
-
-            # ``now_ns`` is constant for the batch, so every DRAM access
-            # after the first sees gap == 0 and the EWMA update folds to
-            # ``0.99 * d_avg`` (adding 0.01 * 0 == +0.0 is the identity for
-            # the non-negative averages this model produces).
-            if d_n:
-                d_avg = 0.99 * d_avg
-            else:
-                gap = now_ns - d_last
-                if gap < 0:
-                    gap = 0
-                d_last = now_ns
-                d_avg = 0.99 * d_avg + 0.01 * gap
-            d_n += 1
-            if d_avg < d_sat:
-                pressure = min(1.0, d_sat / max(d_avg, 1e-9) - 1.0)
-                total_ns += lat_m[t] + int(d_ns * (1.0 + 2.0 * pressure))
-            else:
-                total_ns += lat_m[t] + d_ns
-
-        # Fold the locally-accumulated counters back into the arrays.
-        a_t1.hits += h_t1; a_t1.misses += ms_t1
-        a_t1.evictions += ev_t1; a_t1.writebacks += wb_t1
-        a_t2.hits += h_t2; a_t2.misses += ms_t2
-        a_t2.evictions += ev_t2; a_t2.writebacks += wb_t2
-        a_i.hits += h_i; a_i.misses += ms_i
-        a_i.evictions += ev_i; a_i.writebacks += wb_i
-        a_d.hits += h_d; a_d.misses += ms_d
-        a_d.evictions += ev_d; a_d.writebacks += wb_d
-        a_2.hits += h_2; a_2.misses += ms_2
-        a_2.evictions += ev_2; a_2.writebacks += wb_2
-        if sets_l is not None:
-            a_l.hits += h_l; a_l.misses += ms_l
-            a_l.evictions += ev_l; a_l.writebacks += wb_l
-        if d_n:
-            dram.accesses += d_n
-            dram._avg_gap_ns = d_avg
-            dram._last_access_ns = d_last
-        return total_ns
+    def release(self) -> None:
+        """Release the private arrays' pages (see SetAssocArray.release)."""
+        for arr in self._arrays:
+            arr.release()
 
     # ------------------------------------------------------------------
     # Flush operations

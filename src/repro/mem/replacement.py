@@ -10,30 +10,32 @@ Implements the four policies compared in Figure 14 of the paper:
   with LRU tie-breaking. (Belady's offline MIN lives in
   :mod:`repro.analysis.belady` since it needs the future trace.)
 
-A policy operates on a :class:`CacheSet`, which stores per-way metadata as
-parallel lists for speed. Ways may be restricted by an ``allowed`` bitmask:
+A policy operates on a :class:`CacheSet` (or anything with its interface,
+such as a :class:`~repro.mem.cache.SetView`), which exposes per-way metadata
+as parallel sequences. Ways may be restricted by an ``allowed`` bitmask:
 when a core executes a Harvest VM under partitioning, only harvest-region
 ways are accessible (Section 4.2.1).
 """
 
 from __future__ import annotations
 
-from typing import List
+from functools import lru_cache
+from typing import List, Tuple
 
 
 class CacheSet:
-    """Per-way metadata of one cache/TLB set.
+    """Per-way metadata of one standalone cache/TLB set.
 
     ``tags[w]`` is the tag stored in way ``w`` (arbitrary int), ``valid[w]``
     whether it holds data, ``shared[w]`` the paper's Shared page bit.
     ``stamp[w]`` is a recency stamp maintained by the policies (higher =
     more recent); ``rrpv[w]`` is RRIP's re-reference prediction value.
+    Offline replay and unit tests use it directly; a
+    :class:`~repro.mem.cache.SetAssocArray` exposes the same interface over
+    its flat arrays (:class:`~repro.mem.cache.SetView`).
     """
 
-    __slots__ = (
-        "ways", "tags", "valid", "shared", "dirty", "stamp", "rrpv",
-        "clock", "seen_flush", "index", "valid_mask",
-    )
+    __slots__ = ("ways", "tags", "valid", "shared", "dirty", "stamp", "rrpv", "clock")
 
     def __init__(self, ways: int):
         if ways <= 0:
@@ -46,89 +48,15 @@ class CacheSet:
         self.stamp: List[int] = [0] * ways
         self.rrpv: List[int] = [0] * ways
         self.clock = 0
-        #: Flush epoch this set has reconciled up to (see SetAssocArray).
-        self.seen_flush = 0
-        #: Hashed tag store: tag -> bitmask of *valid* ways holding it.
-        #: Maintained only by :meth:`fill` / :meth:`invalidate_way`; code
-        #: that mutates ``tags``/``valid`` directly (tests, offline replay)
-        #: must keep using the linear :meth:`find`.
-        self.index: dict = {}
-        #: Bitmask mirror of ``valid`` (bit w set <=> valid[w] is True),
-        #: subject to the same maintenance contract as ``index``.
-        self.valid_mask = 0
 
     def find(self, tag: int, allowed: int) -> int:
-        """Way index holding ``tag`` among allowed ways, or -1.
-
-        Linear reference scan; valid regardless of how the set was
-        populated. The hot path uses :meth:`find_fast` instead.
-        """
+        """Lowest allowed valid way holding ``tag``, or -1."""
         tags = self.tags
         valid = self.valid
         for w in range(self.ways):
             if valid[w] and tags[w] == tag and (allowed >> w) & 1:
                 return w
         return -1
-
-    def find_fast(self, tag: int, allowed: int) -> int:
-        """Index-backed :meth:`find`; requires fill/invalidate discipline.
-
-        The same tag can occupy several ways (a mask-restricted miss fills
-        a copy even when a disallowed way already holds the tag), so the
-        index stores a way *mask*; the lowest allowed way wins, matching
-        the linear scan exactly.
-        """
-        m = self.index.get(tag)
-        if m is None:
-            return -1
-        m &= allowed
-        if m == 0:
-            return -1
-        return (m & -m).bit_length() - 1
-
-    def fill(self, way: int, tag: int, shared: bool, dirty: bool) -> None:
-        """Install ``tag`` in ``way``, keeping the index/mask coherent."""
-        bit = 1 << way
-        index = self.index
-        if self.valid_mask & bit:
-            old = self.tags[way]
-            m = index[old] & ~bit
-            if m:
-                index[old] = m
-            else:
-                del index[old]
-        self.tags[way] = tag
-        self.valid[way] = True
-        self.shared[way] = shared
-        self.dirty[way] = dirty
-        self.valid_mask |= bit
-        index[tag] = index.get(tag, 0) | bit
-
-    def invalidate_way(self, way: int) -> bool:
-        """Invalidate one way (index-coherently); True if it was valid."""
-        bit = 1 << way
-        if not self.valid[way]:
-            # Tolerate sets populated by direct mutation: fall back to the
-            # lists as ground truth and leave the (unused) index alone.
-            return False
-        self.valid[way] = False
-        if self.valid_mask & bit:
-            self.valid_mask &= ~bit
-            tag = self.tags[way]
-            m = self.index.get(tag, 0) & ~bit
-            if m:
-                self.index[tag] = m
-            elif tag in self.index:
-                del self.index[tag]
-        return True
-
-    def invalidate_ways(self, mask: int) -> int:
-        """Invalidate every way selected by ``mask``; returns count flushed."""
-        n = 0
-        for w in range(self.ways):
-            if (mask >> w) & 1 and self.invalidate_way(w):
-                n += 1
-        return n
 
     def touch(self, way: int) -> None:
         """Bump the recency stamp of ``way`` (most recently used)."""
@@ -150,14 +78,6 @@ class ReplacementPolicy:
     def choose_victim(self, cset: CacheSet, incoming_shared: bool, allowed: int) -> int:
         raise NotImplementedError
 
-    def choose_victim_full(
-        self, cset: CacheSet, incoming_shared: bool, allowed: int
-    ) -> int:
-        """:meth:`choose_victim` for callers that already know every allowed
-        way is valid (the batched walk checks ``valid_mask`` first), so the
-        invalid-way scans can be skipped.  Must return exactly what
-        :meth:`choose_victim` would under that precondition."""
-        return self.choose_victim(cset, incoming_shared, allowed)
 
 
 def _first_invalid(cset: CacheSet, allowed: int) -> int:
@@ -192,12 +112,6 @@ class LruPolicy(ReplacementPolicy):
             return inv
         return _lru_way(cset, allowed)
 
-    def choose_victim_full(
-        self, cset: CacheSet, incoming_shared: bool, allowed: int
-    ) -> int:
-        return _lru_way(cset, allowed)
-
-
 class RripPolicy(ReplacementPolicy):
     """2-bit Static RRIP [37]: insert at RRPV=2, promote to 0 on hit,
     evict the first way with RRPV=3 (aging all ways until one exists)."""
@@ -228,19 +142,12 @@ class RripPolicy(ReplacementPolicy):
                 if (allowed >> w) & 1:
                     rrpv[w] += 1
 
-    def choose_victim_full(
-        self, cset: CacheSet, incoming_shared: bool, allowed: int
-    ) -> int:
-        if not any((allowed >> w) & 1 for w in range(cset.ways)):
-            raise ValueError("no allowed ways in set (allowed mask empty)")
-        rrpv = cset.rrpv
-        while True:
-            for w in range(cset.ways):
-                if (allowed >> w) & 1 and rrpv[w] >= self.MAX_RRPV:
-                    return w
-            for w in range(cset.ways):
-                if (allowed >> w) & 1:
-                    rrpv[w] += 1
+@lru_cache(maxsize=None)
+def _window(allowed: int, ways: int, fraction: float) -> Tuple[Tuple[int, ...], int]:
+    """Memoized :meth:`HardHarvestPolicy.window`: a run sees only a few
+    (mask, ways, fraction) combinations."""
+    allowed_ways = tuple(w for w in range(ways) if (allowed >> w) & 1)
+    return allowed_ways, max(1, int(round(len(allowed_ways) * fraction)))
 
 
 class HardHarvestPolicy(ReplacementPolicy):
@@ -266,25 +173,20 @@ class HardHarvestPolicy(ReplacementPolicy):
             )
         self.harvest_mask = harvest_mask
         self.candidate_fraction = candidate_fraction
-        #: allowed-mask -> (allowed way tuple, window size M).  A policy
-        #: instance serves one array, so way counts never vary; the masks
-        #: seen are the partition's two (all-ways / harvest), making this a
-        #: tiny memo that removes the per-call mask decode.
-        self._window_cache: dict = {}
+
+    def window(self, allowed: int, ways: int) -> Tuple[Tuple[int, ...], int]:
+        """(allowed ways ascending, window size M) for ``allowed``.
+
+        M is ``max(1, round(n * fraction))`` with Python's round-half-even;
+        the C walk receives it from here rather than re-deriving it."""
+        return _window(allowed, ways, self.candidate_fraction)
 
     def _candidates(self, cset: CacheSet, allowed: int) -> List[int]:
         """The M least-recently-used allowed ways, LRU-first order."""
-        cached = self._window_cache.get(allowed)
-        if cached is None:
-            ways = tuple(w for w in range(cset.ways) if (allowed >> w) & 1)
-            if not ways:
-                raise ValueError("no allowed ways in set (allowed mask empty)")
-            m = max(1, int(round(len(ways) * self.candidate_fraction)))
-            cached = (ways, m)
-            self._window_cache[allowed] = cached
-        ways, m = cached
-        # sorted() is stable, so ties resolve by ascending way index exactly
-        # like the reference in-place sort of the ascending-built list did.
+        ways, m = self.window(allowed, cset.ways)
+        if not ways:
+            raise ValueError("no allowed ways in set (allowed mask empty)")
+        # sorted() is stable, so ties resolve by ascending way index.
         return sorted(ways, key=cset.stamp.__getitem__)[:m]
 
     def choose_victim(self, cset: CacheSet, incoming_shared: bool, allowed: int) -> int:
@@ -322,24 +224,6 @@ class HardHarvestPolicy(ReplacementPolicy):
                 if ((harvest >> w) & 1) == wanted and not shared[w]:
                     return w
         # All candidate slots hold shared entries: evict the LRU candidate.
-        return candidates[0]
-
-    def choose_victim_full(
-        self, cset: CacheSet, incoming_shared: bool, allowed: int
-    ) -> int:
-        # Algorithm 1's empty-slot top half can find nothing when every
-        # allowed way is valid; go straight to the windowed eviction case.
-        candidates = self._candidates(cset, allowed)
-        harvest = self.harvest_mask
-        shared = cset.shared
-        if incoming_shared:
-            regions = (0, 1)  # non-harvest first
-        else:
-            regions = (1, 0)  # harvest first
-        for wanted in regions:
-            for w in candidates:
-                if ((harvest >> w) & 1) == wanted and not shared[w]:
-                    return w
         return candidates[0]
 
 

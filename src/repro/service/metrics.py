@@ -4,6 +4,8 @@ Hand-rendered (stdlib only), following the exposition format spec:
 ``# HELP`` / ``# TYPE`` per family, then ``name{labels} value`` samples.
 Families:
 
+* ``repro_mem_walk_backend_info`` — which memory walk (compiled C or
+  the Python fallback) this process runs, and why;
 * ``repro_service_*`` — queue depth, jobs by state, submission /
   dedupe / rejection / completion counters, worker utilization, uptime;
 * ``repro_cache_*`` — ResultCache hits/misses/stores/invalidations
@@ -19,6 +21,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 import repro
+from repro.mem import walk_backend
 from repro.service.jobs import JOB_STATES, JobManager
 
 
@@ -66,6 +69,11 @@ class MetricsRegistry:
             "repro_service_info", "gauge",
             "Static service metadata.",
             [({"version": repro.__version__}, 1)],
+        )
+        family(
+            "repro_mem_walk_backend_info", "gauge",
+            "Memory-walk backend of this process (c or python) and why.",
+            [(walk_backend(), 1)],
         )
         family(
             "repro_service_uptime_seconds", "gauge",

@@ -445,6 +445,15 @@ def _parse_cluster(body: Dict[str, Any], workers: int) -> JobRequest:
     return request
 
 
+#: Top-level fields a job body may carry, per kind.  Anything else (say a
+#: misspelled ``"sim"``) is rejected rather than silently defaulted.
+_JOB_KEYS = {
+    "sweep": frozenset({"kind", "workers", "systems", "seeds", "simulation"}),
+    "cluster": frozenset(
+        {"kind", "workers", "system", "cluster", "simulation", "fault_plan"}),
+}
+
+
 def parse_job_request(body: Any) -> JobRequest:
     """Parse and validate one POSTed job body; raises
     :class:`JobValidationError` with the offending field named."""
@@ -456,6 +465,13 @@ def parse_job_request(body: Any) -> JobRequest:
     if kind not in JOB_KINDS:
         raise JobValidationError(
             "kind", f"kind must be one of {list(JOB_KINDS)}, got {kind!r}"
+        )
+    unknown = sorted(set(body) - _JOB_KEYS[kind])
+    if unknown:
+        raise JobValidationError(
+            unknown[0],
+            f"unknown {kind} job field {unknown[0]!r}; allowed: "
+            f"{sorted(_JOB_KEYS[kind])}",
         )
     workers = _parse_workers(body.get("workers"))
     if kind == "sweep":

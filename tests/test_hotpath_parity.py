@@ -1,7 +1,7 @@
 """Bit-identity guard for the memory and scheduler fast paths.
 
-The batched memory fast path (:meth:`CoreMemory.access_batch`, vectorized
-sampling, hashed per-set tag indexes) and the scheduler fast path (the
+The batched memory fast path (:meth:`CoreMemory.access_batch`'s compiled
+walk over flat per-level arrays, vectorized sampling) and the scheduler fast path (the
 engine's batched same-timestamp drain, the subqueue status-code mirrors,
 the NumPy ready-scan kernels) must reproduce the reference per-access /
 per-event implementations *exactly* — every counter, latency percentile,
@@ -109,16 +109,32 @@ def test_ready_byte_matches_code_ready():
 # ----------------------------------------------------------------------
 
 def _check_array(arr, label):
-    """The hashed index and valid_mask must mirror the per-way truth."""
-    for set_index, cset in arr.sets.items():
-        expect_mask = 0
-        expect_index = {}
-        for w in range(cset.ways):
-            if cset.valid[w]:
-                expect_mask |= 1 << w
-                expect_index[cset.tags[w]] = expect_index.get(cset.tags[w], 0) | (1 << w)
-        assert cset.valid_mask == expect_mask, f"{label} set {set_index}"
-        assert cset.index == expect_index, f"{label} set {set_index}"
+    """The flat layout's invariants after ``settle()``.
+
+    Rows are handed out in first-touch order, one per touched set, and
+    map back to it; every row has reconciled up to the current flush
+    epoch; rows past the last one in use hold nothing; within a row the
+    recency stamps are distinct and never exceed its clock; and every
+    valid entry was filled by some miss.
+    """
+    flat = arr.flat
+    used = int(flat["meta"][5])
+    rows = flat["row"]
+    touched = list(arr.sets)
+    assert touched == flat["log"][:used].tolist(), label
+    assert len(set(touched)) == used, label
+    assert sorted(touched) == rows.nonzero()[0].tolist(), label
+    assert all(rows[s] == r + 1 for r, s in enumerate(touched)), label
+    assert (flat["seen"][:used] == flat["meta"][0] + 1).all(), label
+    valid = flat["valid"].reshape(-1, arr.ways)
+    stamp = flat["stamp"].reshape(-1, arr.ways)
+    for r in range(used):
+        stamps = [int(s) for s in stamp[r] if s]
+        assert len(stamps) == len(set(stamps)), f"{label} row {r}"
+        assert max(stamps, default=0) <= flat["clock"][r], f"{label} row {r}"
+    assert not valid[used:].any() and not flat["clock"][used:].any(), label
+    assert arr.occupancy() <= arr.misses, label
+    assert arr.evictions <= arr.misses, label
 
 
 def _check_subqueue(sq, label):
@@ -143,11 +159,11 @@ def _subqueues(sim):
 
 
 def test_index_consistency_after_run():
-    """After a full simulated run every set's hashed index is coherent.
+    """After a full simulated run every array's flat layout is coherent.
 
     ``settle()`` first applies any pending lazy way-flushes, then the
-    index/valid_mask mirrors are compared against the per-way arrays —
-    the invariant every fast-path fill/evict/reconcile must preserve.
+    invariants of :func:`_check_array` — which every kernel and reference
+    fill/evict/reconcile must preserve — are checked per array.
     """
     sim = run_server_raw(
         hardharvest_block(),
