@@ -18,8 +18,8 @@ this benchmark:
 * The baseline is the in-tree reference walk: per-access
   ``SetAssocArray.access`` calls (linear tag scans over the same flat
   per-level arrays the compiled walk uses) and scalar sampling.  The
-  fast side is the compiled walk when it loads; the record names the
-  backend that ran (``walk_backend``) and the host's CPU count, since
+  fast side is the compiled sampler and walk when they load; the record
+  names the backend that ran (``walk_backend``) and the host's CPU count, since
   without a C compiler both sides run Python and the ratio collapses.
 
 Usage::
@@ -128,8 +128,8 @@ def main(argv=None) -> int:
         "baseline_note": (
             "reference = in-tree REPRO_MEM_SLOWPATH algorithms (per-access "
             "walk with linear tag scans over the flat per-level arrays, "
-            "scalar sampling); fast = the batched walk on the backend named "
-            "in walk_backend. For the combined memory+scheduler ratio see "
+            "scalar sampling); fast = the compiled sampler and batched walk "
+            "on the backend named in walk_backend. For the combined memory+scheduler ratio see "
             "BENCH_sched_hotpath.json."
         ),
     }

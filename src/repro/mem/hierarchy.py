@@ -13,8 +13,6 @@ from __future__ import annotations
 import ctypes
 from typing import Optional
 
-import numpy as np
-
 from repro.config import HierarchyConfig, PartitionConfig, ReplacementKind
 from repro.mem import kernel
 from repro.mem.cache import Cache, slowpath_enabled
@@ -28,9 +26,6 @@ from repro.mem.replacement import (
 )
 from repro.mem.tlb import Tlb
 from repro.sim.units import cycles_to_ns
-
-_I64 = np.dtype(np.int64)
-_BOOL = np.dtype(np.bool_)
 
 
 def _policy_for(
@@ -280,11 +275,8 @@ class CoreMemory:
             for addr, sh, instr, wr in batch:
                 total += acc(addr, sh, instr, llc, is_primary, now_ns, wr)
             return total
-        bufs = (kernel.pin(batch.addr, _I64), kernel.pin(batch.shared, _BOOL),
-                kernel.pin(batch.instr, _BOOL), kernel.pin(batch.write, _BOOL))
         harvest = 0 if is_primary or not self.partition_cfg.enabled else 1
-        total = walk(self._core_ptr, llc_ptr,
-                     *map(ctypes.addressof, bufs), n, now_ns, harvest)
+        total = walk(self._core_ptr, llc_ptr, *batch.ptrs, n, now_ns, harvest)
         if total < 0:
             raise ValueError("no allowed ways in set (allowed mask empty)")
         return total

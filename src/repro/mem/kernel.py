@@ -1,7 +1,8 @@
-"""Build, load and bind the compiled memory walk (``walk.c``).
+"""Build, load and bind the compiled memory walk and sampler (``walk.c``).
 
-The walk is compiled with the local C compiler on first use (the first
-:class:`~repro.mem.hierarchy.CoreMemory` construction), never at import.
+The library is compiled with the local C compiler on first use (the first
+:class:`~repro.mem.hierarchy.CoreMemory` or sampler construction), never
+at import.
 The shared library is cached by the sha256 of (C source, compile command,
 platform) under ``$XDG_CACHE_HOME/repro/kernels`` (``~/.cache`` when unset),
 or under the temp dir when that is not writable.  It is loaded with stdlib
@@ -10,7 +11,8 @@ the source hash it exports matches the source next to this file.
 
 Without a compiler, or if the build or the load fails, the walk falls back
 to the per-access Python reference (:meth:`SetAssocArray.access`) over the
-same arrays; :func:`walk_backend` says which backend runs and why.
+same arrays and sampling to the vectorised numpy bodies;
+:func:`walk_backend` says which backend runs and why.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ import sys
 import tempfile
 import threading
 from typing import Optional, Tuple
-
-import numpy as np
 
 from repro.mem.cache import SLOWPATH_ENV, SetAssocArray, slowpath_enabled
 from repro.mem.replacement import HardHarvestPolicy, LruPolicy, RripPolicy
@@ -65,6 +65,25 @@ class Core(ctypes.Structure):
     )] + [("dram", _P)]
 
 
+class Draw(ctypes.Structure):
+    """``draw_t``: one sampler's draw buffers and batch arrays for one n."""
+
+    _fields_ = [("n", _I64), ("max_line", ctypes.c_uint32)] + [(name, _P) for name in (
+        "u", "line", "addr", "shared", "instr", "write",
+    )]
+
+
+class Classes(ctypes.Structure):
+    """``classes_t``: a sampler's three address classes (regions)."""
+
+    _fields_ = [
+        ("lim", ctypes.c_double * 2), ("write_below", ctypes.c_double),
+        ("page_bytes", _I64), ("line_bytes", _I64),
+        ("base", _I64 * 3), ("last", _I64 * 3), ("pages", ctypes.c_double * 3),
+        ("shared", ctypes.c_uint8 * 3), ("instr", ctypes.c_uint8 * 3),
+    ]
+
+
 def _log2(x: int) -> int:
     """log2 of a power of two, else -1."""
     return x.bit_length() - 1 if x > 0 and x & (x - 1) == 0 else -1
@@ -98,17 +117,6 @@ def step(lv: Level, arr: SetAssocArray, granule: int, masks, lat) -> Optional[St
                 (ctypes.c_uint64 * 2)(*masks), (_I64 * 2)(*win), (_I64 * 3)(*lat))
 
 
-def pin(a: np.ndarray, dtype: np.dtype) -> ctypes.c_char:
-    """A ctypes handle on ``a``'s C-contiguous buffer (converted if needed);
-    it keeps the buffer alive until dropped."""
-    if a.dtype is not dtype:
-        a = a.astype(dtype)
-    try:
-        return ctypes.c_char.from_buffer(a)
-    except (TypeError, ValueError, BufferError):
-        return ctypes.c_char.from_buffer(np.array(a, dtype=dtype, order="C"))
-
-
 # ----------------------------------------------------------------------
 # Build cache and loader
 # ----------------------------------------------------------------------
@@ -129,24 +137,24 @@ def cache_dir() -> str:
 
 
 class KernelLoader:
-    """Builds and loads the walk once per process, thread-safely."""
+    """Builds and loads the library once per process, thread-safely."""
 
     def __init__(self, cc: Optional[str] = None, directory: Optional[str] = None):
         self.cc = cc
         self.directory = directory
-        self.fn = None
+        self.lib = None
         self.reason = "not loaded yet"
         self._done = False
         self._lock = threading.Lock()
 
     def load(self):
-        """The bound ``hh_walk`` function, or None (see :attr:`reason`)."""
+        """The bound library, or None (see :attr:`reason`)."""
         if not self._done:
             with self._lock:
                 if not self._done:
-                    self.fn, self.reason = self._load()
+                    self.lib, self.reason = self._load()
                     self._done = True
-        return self.fn
+        return self.lib
 
     def _load(self) -> Tuple[object, str]:
         import sysconfig
@@ -167,9 +175,9 @@ class KernelLoader:
         ).hexdigest()
         path = os.path.join(directory, f"walk-{key[:24]}.so")
         if _intact(path):
-            fn, _ = _bind(path, sha)
-            if fn is not None:
-                return fn, f"cached {os.path.basename(path)}"
+            lib, _ = _bind(path, sha)
+            if lib is not None:
+                return lib, f"cached {os.path.basename(path)}"
         # Build under a unique name (dlopen would hand back a stale library
         # already loaded from ``path``), load, then publish atomically.
         tmp = None
@@ -183,14 +191,14 @@ class KernelLoader:
             if done.returncode != 0:
                 err = (done.stderr.strip().splitlines() or ["?"])[-1]
                 return None, f"compile failed ({cc}): {err}"
-            fn, why = _bind(tmp, sha)
-            if fn is None:
+            lib, why = _bind(tmp, sha)
+            if lib is None:
                 return None, why
             try:
                 _publish(tmp, path)
             except OSError:
-                return fn, "compiled (not cached: cache directory not writable)"
-            return fn, f"compiled {os.path.basename(path)}"
+                return lib, "compiled (not cached: cache directory not writable)"
+            return lib, f"compiled {os.path.basename(path)}"
         except (OSError, subprocess.SubprocessError) as exc:
             return None, f"compile failed ({cc}): {exc}"
         finally:
@@ -226,20 +234,22 @@ def _publish(tmp: str, path: str) -> None:
 
 
 def _bind(path: str, sha: str):
-    """(hh_walk, None) if ``path`` loads and exports ``sha``, else (None, why)."""
+    """(library, None) if ``path`` loads and exports ``sha``, else (None, why)."""
     try:
         lib = ctypes.CDLL(path)
         exported = lib.hh_source_sha
-        fn = lib.hh_walk
+        walk, draw, build = lib.hh_walk, lib.hh_draw, lib.hh_build
     except (OSError, AttributeError) as exc:
         return None, f"kernel library unusable: {exc}"
     exported.restype = ctypes.c_char_p
     exported.argtypes = []
     if exported() != sha.encode():
         return None, "kernel library source hash mismatch"
-    fn.argtypes = [_P] * 6 + [_I64] * 3
-    fn.restype = _I64
-    return fn, None
+    walk.argtypes = [_P] * 6 + [_I64] * 3
+    walk.restype = _I64
+    draw.argtypes = build.argtypes = [_P, _P]
+    draw.restype = build.restype = None
+    return lib, None
 
 
 _LOADER = KernelLoader()
@@ -247,7 +257,14 @@ _LOADER = KernelLoader()
 
 def walk_function():
     """The compiled walk, loading it on first call; None means fallback."""
-    return _LOADER.load()
+    lib = _LOADER.load()
+    return None if lib is None else lib.hh_walk
+
+
+def sample_functions():
+    """The compiled ``(hh_draw, hh_build)``, or None (numpy sampling)."""
+    lib = _LOADER.load()
+    return None if lib is None else (lib.hh_draw, lib.hh_build)
 
 
 def walk_backend() -> dict:
@@ -256,6 +273,5 @@ def walk_backend() -> dict:
     Host information only: it must never enter a digest or a cache key."""
     if slowpath_enabled():
         return {"backend": "python", "reason": f"{SLOWPATH_ENV} is set"}
-    fn = walk_function()
-    return {"backend": "c" if fn is not None else "python",
+    return {"backend": "c" if _LOADER.load() is not None else "python",
             "reason": _LOADER.reason}

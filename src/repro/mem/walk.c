@@ -1,5 +1,5 @@
 /* Batched memory-hierarchy walk over the flat per-level arrays of
- * repro.mem.cache.SetAssocArray.
+ * repro.mem.cache.SetAssocArray, and the segment sampler that feeds it.
  *
  * One routine (level_access) is the set-associative level: flush
  * reconciliation, lookup, empty-way choice, victim choice, fill, recency
@@ -8,6 +8,9 @@
  * Python reference (SetAssocArray.access, CoreMemory.access) exactly; the
  * DRAM EWMA keeps Python's operation order and must be compiled with
  * -ffp-contract=off so the doubles match bit for bit.
+ *
+ * hh_draw and hh_build (at the end) sample a segment's accesses into
+ * prebound buffers, bit-identical to the vectorised numpy sampler.
  *
  * Struct layouts mirror the ctypes structures in repro/mem/kernel.py.
  */
@@ -242,4 +245,94 @@ int64_t hh_walk(const core_t *c, const step_t *llc, const int64_t *addr,
         total += c->mem.lat[t] + dram_latency(c->dram, now);
     }
     return total;
+}
+
+/* ------------------------------------------------------------------ *
+ * Segment sampling (repro.workloads.memory_profile)
+ *
+ * hh_draw consumes a numpy Generator's bit generator exactly as the
+ * vectorised sample() does: rng.random(n) for the class draw, then for
+ * the page draw, rng.integers(0, max_line + 1, n) for the line, and
+ * rng.random(n) for the write draw.  The caller raises the page draw to
+ * the skew with numpy (libm pow and numpy's SIMD pow differ in the last
+ * bit), then hh_build turns the draws into addresses and flags.
+ * ------------------------------------------------------------------ */
+
+typedef struct {                /* numpy/random/bitgen.h */
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+typedef struct {                /* one sampler's buffers for one n */
+    int64_t n;
+    uint32_t max_line;          /* lines - 1: numpy's closed range */
+    double *u;                  /* 3n draws: class, page, write */
+    int64_t *line;
+    int64_t *addr;              /* the AccessBatch arrays */
+    uint8_t *shared, *instr, *write;
+} draw_t;
+
+typedef struct {                /* a sampler's three address classes */
+    double lim[2];              /* class 0 below lim[0], 1 below lim[1], else 2 */
+    double write_below;         /* a write if its draw is below this */
+    int64_t page_bytes, line_bytes;
+    int64_t base[3];            /* region start address */
+    int64_t last[3];            /* region pages - 1 */
+    double pages[3];            /* region pages, as numpy's float64 */
+    uint8_t shared[3], instr[3];
+} classes_t;
+
+/* numpy's buffered_bounded_lemire_uint32: a draw in [0, rng]. */
+static uint32_t bounded_lemire(bitgen_t *bg, uint32_t rng)
+{
+    const uint32_t excl = rng + 1;
+    uint64_t m = (uint64_t)bg->next_uint32(bg->state) * excl;
+    uint32_t leftover = (uint32_t)m;
+    if (leftover < excl) {
+        const uint32_t threshold = (UINT32_MAX - rng) % excl;
+        while (leftover < threshold) {
+            m = (uint64_t)bg->next_uint32(bg->state) * excl;
+            leftover = (uint32_t)m;
+        }
+    }
+    return (uint32_t)(m >> 32);
+}
+
+/* Fill d's draw buffers; the caller holds the generator's lock. */
+void hh_draw(bitgen_t *bg, const draw_t *d)
+{
+    const int64_t n = d->n;
+    double *u = d->u;
+    int64_t i;
+    for (i = 0; i < 2 * n; i++)
+        u[i] = bg->next_double(bg->state);
+    /* random_bounded_uint64_fill: no draw for a one-value range, plain
+     * 32-bit draws for the full one. */
+    for (i = 0; i < n; i++)
+        d->line[i] = d->max_line == 0 ? 0
+            : d->max_line == UINT32_MAX ? bg->next_uint32(bg->state)
+            : bounded_lemire(bg, d->max_line);
+    for (i = 2 * n; i < 3 * n; i++)
+        u[i] = bg->next_double(bg->state);
+}
+
+/* The vectorised sample() body after the draws, element by element. */
+void hh_build(const draw_t *d, const classes_t *c)
+{
+    const int64_t n = d->n;
+    const double *kind = d->u, *page_u = d->u + n, *wu = d->u + 2 * n;
+    int64_t i;
+    for (i = 0; i < n; i++) {
+        const int k = kind[i] < c->lim[0] ? 0 : kind[i] < c->lim[1] ? 1 : 2;
+        int64_t page = (int64_t)(page_u[i] * c->pages[k]);
+        if (page > c->last[k])
+            page = c->last[k];
+        d->addr[i] = c->base[k] + page * c->page_bytes + d->line[i] * c->line_bytes;
+        d->shared[i] = c->shared[k];
+        d->instr[i] = c->instr[k];
+        d->write[i] = wu[i] < c->write_below && !c->shared[k];
+    }
 }

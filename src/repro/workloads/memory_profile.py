@@ -13,10 +13,12 @@ produce execution time (see :mod:`repro.cluster.server`).
 
 from __future__ import annotations
 
+import ctypes
 from typing import List, Tuple
 
 import numpy as np
 
+from repro.mem import kernel
 from repro.mem.address import AddressSpace, Region
 from repro.mem.cache import slowpath_enabled
 from repro.workloads.microservices import ServiceProfile
@@ -44,12 +46,14 @@ class AccessBatch:
     """A segment's sampled accesses as parallel NumPy arrays.
 
     The fast path (:meth:`repro.mem.hierarchy.CoreMemory.access_batch`)
-    consumes the arrays wholesale; iterating yields the classic
-    ``(addr, shared, instr, write)`` tuples (Python scalars) so per-access
-    consumers — the reference slow path, tests — keep working unchanged.
+    consumes the arrays wholesale through :attr:`ptrs`, their four buffer
+    addresses, taken once here (after converting to contiguous int64/bool
+    arrays); iterating yields the classic ``(addr, shared, instr, write)``
+    tuples (Python scalars) so per-access consumers — the reference slow
+    path, tests — keep working unchanged.
     """
 
-    __slots__ = ("addr", "shared", "instr", "write")
+    __slots__ = ("addr", "shared", "instr", "write", "ptrs")
 
     def __init__(
         self,
@@ -58,10 +62,16 @@ class AccessBatch:
         instr: np.ndarray,
         write: np.ndarray,
     ):
-        self.addr = addr
-        self.shared = shared
-        self.instr = instr
-        self.write = write
+        self.addr = np.ascontiguousarray(addr, dtype=np.int64)
+        self.shared = np.ascontiguousarray(shared, dtype=np.bool_)
+        self.instr = np.ascontiguousarray(instr, dtype=np.bool_)
+        self.write = np.ascontiguousarray(write, dtype=np.bool_)
+        n = len(self.addr)
+        if self.addr.ndim != 1 or any(
+                a.shape != (n,) for a in (self.shared, self.instr, self.write)):
+            raise ValueError("AccessBatch arrays must be 1-D and of equal length")
+        self.ptrs = (self.addr.ctypes.data, self.shared.ctypes.data,
+                     self.instr.ctypes.data, self.write.ctypes.data)
 
     def __len__(self) -> int:
         return len(self.addr)
@@ -90,6 +100,61 @@ _PAGE_BYTES = 4096
 _LINE_BYTES = 64
 
 
+class _CompiledSampler:
+    """One memory object's compiled sampling: ``hh_draw`` and ``hh_build``
+    over buffers allocated once per segment size ``n``.
+
+    Every call with the same ``n`` fills and returns the same
+    :class:`AccessBatch`, so a batch stays valid only until the next
+    ``sample()`` on the same memory object; memory objects never share
+    buffers.
+    """
+
+    __slots__ = ("draw", "build", "max_line", "skew", "segments", "gen", "bitgen", "lock")
+
+    def __init__(self, functions, lines: int, skew: float):
+        self.draw, self.build = functions
+        self.max_line = lines - 1
+        self.skew = skew
+        self.segments: dict = {}
+        self.gen = None
+
+    def _segment(self, n: int):
+        u = np.empty(3 * n)  # the class, page and write draws
+        line = np.empty(n, dtype=np.int64)
+        batch = AccessBatch(np.empty(n, dtype=np.int64), np.empty(n, dtype=bool),
+                            np.empty(n, dtype=bool), np.empty(n, dtype=bool))
+        draw = kernel.Draw(n, self.max_line, u.ctypes.data, line.ctypes.data, *batch.ptrs)
+        # The struct and the line buffer ride along to stay alive.
+        seg = self.segments[n] = (ctypes.addressof(draw), u[n:2 * n], batch, draw, line)
+        return seg
+
+    def sample(self, rng: np.random.Generator, n: int, classes_ptr: int) -> AccessBatch:
+        seg = self.segments.get(n)
+        if seg is None:
+            seg = self._segment(n)
+        draw, page_u, batch = seg[0], seg[1], seg[2]
+        if rng is not self.gen:
+            bg = rng.bit_generator
+            self.gen, self.bitgen, self.lock = rng, bg.ctypes.bit_generator, bg.lock
+        with self.lock:
+            self.draw(self.bitgen, draw)
+        # numpy's pow, not libm's: the two differ in the last bit on some
+        # inputs, and the vectorised body's ``** skew`` is the contract.
+        page_u **= self.skew
+        self.build(draw, classes_ptr)
+        return batch
+
+
+def _class_table(limits, write_below: float, regions, shared, instr):
+    """A :class:`kernel.Classes` for three (region, shared, instr) classes."""
+    return kernel.Classes(
+        limits, write_below, _PAGE_BYTES, _LINE_BYTES,
+        tuple(r.addr(0) for r in regions), tuple(r.num_pages - 1 for r in regions),
+        tuple(float(r.num_pages) for r in regions), shared, instr,
+    )
+
+
 class ServiceMemory:
     """Address regions and access sampling for one service instance."""
 
@@ -103,7 +168,14 @@ class ServiceMemory:
         self._next_private = 0
         self._base_instr = self.instr.addr(0)
         self._base_shared = self.shared.addr(0)
+        #: Class draws below 0.30 fetch instructions, below this read shared
+        #: data, above it touch the invocation's private pages.
+        self._shared_below = 0.30 + 0.70 * profile.shared_ref_fraction
         self._fast = not slowpath_enabled()
+        functions = kernel.sample_functions() if self._fast else None
+        self._compiled = None if functions is None else _CompiledSampler(
+            functions, HOT_LINES_PER_PAGE, PAGE_SKEW)
+        self._classes: dict = {}  # id(private region) -> (address, Classes, region)
 
     def new_invocation(self) -> Region:
         """Private region for a fresh invocation (cycled from the pool)."""
@@ -117,12 +189,28 @@ class ServiceMemory:
         """Sample ``n`` accesses for one compute segment.
 
         Mix: ~30% instruction fetches (always shared), the rest data split
-        between shared and private pages per the profile. Fully vectorized;
-        the draw order and per-element float arithmetic are bit-identical to
-        the reference scalar loop (pinned by the hot-path parity suite).
+        between shared and private pages per the profile.  The compiled
+        sampler (or, without a compiler, :meth:`_sample_numpy`) is
+        bit-identical to the reference scalar loop in draws and results
+        (pinned by the hot-path parity suite).  A compiled batch is reused:
+        it is valid until the next ``sample()`` on this object.
         """
-        if not self._fast:
-            return self._sample_reference(rng, n, private)
+        compiled = self._compiled
+        if compiled is None:
+            if not self._fast:
+                return self._sample_reference(rng, n, private)
+            return self._sample_numpy(rng, n, private)
+        if n <= 0:
+            return _EMPTY_BATCH
+        classes = self._classes.get(id(private))
+        if classes is None:
+            c = _class_table((0.30, self._shared_below), WRITE_FRACTION,
+                             (self.instr, self.shared, private), (1, 1, 0), (1, 0, 0))
+            classes = self._classes[id(private)] = (ctypes.addressof(c), c, private)
+        return compiled.sample(rng, n, classes[0])
+
+    def _sample_numpy(self, rng: np.random.Generator, n: int, private: Region) -> AccessBatch:
+        """The vectorised numpy sampler (no compiled kernel)."""
         if n <= 0:
             return _EMPTY_BATCH
         kind = rng.random(n)
@@ -131,7 +219,7 @@ class ServiceMemory:
         is_write = rng.random(n) < WRITE_FRACTION
 
         instr_m = kind < 0.30
-        shared_m = ~instr_m & (kind < 0.30 + 0.70 * self.profile.shared_ref_fraction)
+        shared_m = ~instr_m & (kind < self._shared_below)
         shared_page = instr_m | shared_m
 
         npages = np.where(
@@ -168,13 +256,12 @@ class ServiceMemory:
         page_u = rng.random(n) ** PAGE_SKEW
         line = rng.integers(0, HOT_LINES_PER_PAGE, n)
         is_write = rng.random(n) < WRITE_FRACTION
-        shared_frac = self.profile.shared_ref_fraction
         out: List[Access] = []
         for i in range(n):
             k = kind[i]
             if k < 0.30:
                 region, instr = self.instr, True
-            elif k < 0.30 + 0.70 * shared_frac:
+            elif k < self._shared_below:
                 region, instr = self.shared, False
             else:
                 region, instr = private, False
@@ -204,10 +291,31 @@ class BatchMemory:
         self._base_code = self.code.addr(0)
         self._base_data = self.data.addr(0)
         self._fast = not slowpath_enabled()
+        functions = kernel.sample_functions() if self._fast else None
+        self._compiled = None if functions is None else _CompiledSampler(
+            functions, 2 * HOT_LINES_PER_PAGE, skew)
+        if self._compiled is not None:
+            # Class draws below 0.2 fetch code, the rest touch data.
+            self._classes = _class_table((0.2, 0.2), WRITE_FRACTION,
+                                         (self.code, self.data, self.data),
+                                         (1, 0, 0), (1, 0, 0))
+            self._classes_ptr = ctypes.addressof(self._classes)
 
     def sample(self, rng: np.random.Generator, n: int) -> AccessBatch:
-        if not self._fast:
-            return self._sample_reference(rng, n)
+        """Sample ``n`` accesses for one batch unit (compiled, else
+        :meth:`_sample_numpy`; a compiled batch is valid until the next
+        ``sample()`` on this object)."""
+        compiled = self._compiled
+        if compiled is None:
+            if not self._fast:
+                return self._sample_reference(rng, n)
+            return self._sample_numpy(rng, n)
+        if n <= 0:
+            return _EMPTY_BATCH
+        return compiled.sample(rng, n, self._classes_ptr)
+
+    def _sample_numpy(self, rng: np.random.Generator, n: int) -> AccessBatch:
+        """The vectorised numpy sampler (no compiled kernel)."""
         if n <= 0:
             return _EMPTY_BATCH
         kind = rng.random(n)

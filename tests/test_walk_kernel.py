@@ -213,6 +213,13 @@ def test_empty_allowed_mask_raises_value_error():
         mem.access_batch(batch, None, False, 0)
 
 
+def test_access_batch_rejects_ragged_arrays():
+    """The walk reads n elements of every array: lengths must agree."""
+    with pytest.raises(ValueError, match="equal length"):
+        AccessBatch(np.zeros(3, np.int64), np.zeros(2, bool),
+                    np.zeros(3, bool), np.zeros(3, bool))
+
+
 def test_other_policy_classes_take_the_python_walk():
     class Mru(LruPolicy):
         pass
@@ -230,20 +237,12 @@ def test_other_policy_classes_take_the_python_walk():
 # ----------------------------------------------------------------------
 # Golden pins under the forced fallback
 # ----------------------------------------------------------------------
-@pytest.fixture
-def no_compiler(monkeypatch, tmp_path):
-    loader = kernel.KernelLoader(directory=str(tmp_path))
-    monkeypatch.setattr(kernel.shutil, "which", lambda name: None)
-    monkeypatch.setattr(kernel, "_LOADER", loader)
-    return loader
-
-
 @pytest.mark.parametrize(
     "system_key,seed,variant", CASES, ids=[case_label(*c) for c in CASES])
 def test_fallback_walk_matches_golden(system_key, seed, variant, no_compiler):
     assert run_digest(system_key, seed, variant) == GOLDEN[
         case_label(system_key, seed, variant)]
-    assert no_compiler.fn is None
+    assert no_compiler.lib is None
 
 
 def test_fallback_walk_matches_cluster_golden(no_compiler):
@@ -257,7 +256,7 @@ def test_fallback_walk_matches_cluster_golden(no_compiler):
                              warmup_ms=2.0, routing=RoutingPolicy.POWER_OF_TWO)
     sim = SimulationConfig(accesses_per_segment=2, seed=7)
     assert run_cluster_scale(hardharvest_block(), sim, cfg).digest() == golden
-    assert no_compiler.fn is None
+    assert no_compiler.lib is None
 
 
 # ----------------------------------------------------------------------
@@ -277,7 +276,7 @@ def test_no_compiler_falls_back_and_says_why(no_compiler, monkeypatch):
 def test_failing_compile_falls_back(monkeypatch, tmp_path):
     loader = kernel.KernelLoader(cc="false", directory=str(tmp_path))
     assert _digest_with(monkeypatch, loader) == GOLDEN[case_label("HardHarvest", 0)]
-    assert loader.fn is None
+    assert loader.lib is None
     assert loader.reason.startswith("compile failed")
     assert walk_backend()["backend"] == "python"
     assert glob.glob(str(tmp_path / "*")) == []  # no half-written library
@@ -315,7 +314,7 @@ def test_damaged_cached_library_is_rebuilt(damage, monkeypatch, tmp_path):
             fh.write(kernel._file_sha(path))
     second = kernel.KernelLoader(directory=str(tmp_path))
     assert _digest_with(monkeypatch, second) == GOLDEN[case_label("HardHarvest", 0)]
-    assert second.fn is not None and second.reason.startswith("compiled")
+    assert second.lib is not None and second.reason.startswith("compiled")
     assert walk_backend()["backend"] == "c"
 
 
