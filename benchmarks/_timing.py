@@ -47,10 +47,10 @@ class Sample:
 def env_overrides(overrides: Dict[str, Optional[str]]):
     """Temporarily set (value) or clear (None) environment variables.
 
-    The slow-path switches are read at *construction* time of each
-    simulator/array, so flipping them between runs in one process selects
-    the implementation cleanly — this context manager is how a benchmark
-    mode requests its implementation.
+    The data-plane switch (``REPRO_DATAPLANE_SLOWPATH``) is read when a
+    run or a cache is set up, so flipping it between runs in one process
+    selects the implementation cleanly — this context manager is how a benchmark mode
+    requests its implementation.
     """
     saved = {name: os.environ.get(name) for name in overrides}
     try:

@@ -1,31 +1,30 @@
-"""Memory-hierarchy fast-path speedup benchmark (single server, fig11 config).
+"""Memory hot-path speedup benchmark (single server, fig11 config).
 
-Runs the same simulation twice per round — once with
-``REPRO_MEM_SLOWPATH=1`` (the reference per-access implementation, a live
-replica of the pre-fast-path behavior) and once on the batched fast path —
-and records best-of-N wall and CPU times plus their ratio under
-``bench_results/BENCH_hotpath.json``.
+Runs the same simulation twice per round — once on the no-compiler
+fallback (per-access ``SetAssocArray.access`` walks over the flat
+per-level arrays and numpy sampling: what a host without ``cc`` runs)
+and once on the compiled sampler and walk — and records best-of-N wall
+and CPU times plus their ratio under ``bench_results/BENCH_hotpath.json``.
 
 Both modes must produce the *same result digest* (bit-identity is the
-fast path's contract, pinned independently by ``tests/test_hotpath_parity.py``);
-the benchmark aborts if they diverge, so a speedup number can never come
+compiled path's contract, pinned independently by
+``tests/test_hotpath_parity.py`` and ``tests/test_walk_kernel.py``); the
+benchmark aborts if they diverge, so a speedup number can never come
 from a behavioral shortcut.
 
 Methodology (see :mod:`benchmarks._timing`): interleaved rounds,
-best-of-N, CPU-time headline, digest guard.  One scope note specific to
-this benchmark:
-
-* The baseline is the in-tree reference walk: per-access
-  ``SetAssocArray.access`` calls (linear tag scans over the same flat
-  per-level arrays the compiled walk uses) and scalar sampling.  The
-  fast side is the compiled sampler and walk when they load; the record
-  names the backend that ran (``walk_backend``) and the host's CPU count, since
-  without a C compiler both sides run Python and the ratio collapses.
+best-of-N, CPU-time headline, digest guard.  The fallback is selected
+in-process: memory objects bind their walk and sampler when they are
+built, so installing a kernel loader that found no C compiler for the
+duration of one run makes that run take the fallback.  The record names
+the backend the fast side ran (``walk_backend``) and the host's CPU
+count, since without a C compiler both sides run Python and the ratio
+collapses.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/hotpath_speedup.py [--rounds 3] \
-        [--horizon-ms 60] [--min-speedup 1.5]
+        [--horizon-ms 60] [--min-speedup 1.6]
 """
 
 from __future__ import annotations
@@ -38,32 +37,42 @@ import repro
 from repro.config import SimulationConfig
 from repro.core.experiment import run_server
 from repro.core.presets import hardharvest_block
-from repro.mem import walk_backend
-from repro.mem.cache import SLOWPATH_ENV
+from repro.mem import kernel, walk_backend
 
 from _timing import (
     best_cpu,
     best_wall,
     digest_of,
-    env_overrides,
     interleaved_rounds,
     require_same_digest,
     write_record,
 )
 
 
-def _mode_runner(cfg: SimulationConfig, slowpath: bool):
-    """Thunk running one construction+run in the requested mode.
+def _no_compiler_loader() -> kernel.KernelLoader:
+    """A kernel loader that looked for a C compiler and found none."""
+    loader = kernel.KernelLoader()
+    which = kernel.shutil.which
+    kernel.shutil.which = lambda name: None
+    try:
+        loader.load()
+    finally:
+        kernel.shutil.which = which
+    assert loader.lib is None, loader.reason
+    return loader
 
-    The slow-path switch is read at construction time of every array and
-    sampler, so flipping the environment variable between runs in one
-    process selects the implementation cleanly.
-    """
-    overrides = {SLOWPATH_ENV: "1" if slowpath else None}
+
+def _mode_runner(cfg: SimulationConfig, loader):
+    """Thunk running one construction+run with ``loader`` installed
+    (None: the process's own loader, i.e. the compiled kernel)."""
 
     def run():
-        with env_overrides(overrides):
+        saved = kernel._LOADER
+        kernel._LOADER = loader or saved
+        try:
             return digest_of(run_server(hardharvest_block(), cfg))
+        finally:
+            kernel._LOADER = saved
 
     return run
 
@@ -87,8 +96,8 @@ def main(argv=None) -> int:
     )
     samples = interleaved_rounds(
         [
-            ("reference", _mode_runner(cfg, True)),
-            ("fast", _mode_runner(cfg, False)),
+            ("reference", _mode_runner(cfg, _no_compiler_loader())),
+            ("fast", _mode_runner(cfg, None)),
         ],
         args.rounds,
     )
@@ -126,11 +135,11 @@ def main(argv=None) -> int:
         "walk_backend": walk_backend(),
         "nproc": os.cpu_count(),
         "baseline_note": (
-            "reference = in-tree REPRO_MEM_SLOWPATH algorithms (per-access "
-            "walk with linear tag scans over the flat per-level arrays, "
-            "scalar sampling); fast = the compiled sampler and batched walk "
-            "on the backend named in walk_backend. For the combined memory+scheduler ratio see "
-            "BENCH_sched_hotpath.json."
+            "reference = the no-compiler fallback (per-access walk with "
+            "linear tag scans over the flat per-level arrays, numpy "
+            "sampling); fast = the compiled sampler and batched walk on the "
+            "backend named in walk_backend. The scheduler is the same on "
+            "both sides."
         ),
     }
     write_record(record, "BENCH_hotpath.json", args.out)

@@ -28,8 +28,8 @@ Commands
                critical-path report (:mod:`repro.telemetry`).
 ``profile``  — run one server simulation under :mod:`cProfile` and print
                the hottest functions (the entry point for hot-path work;
-               pair with ``REPRO_MEM_SLOWPATH`` / ``REPRO_SCHED_SLOWPATH``
-               to profile the reference implementations).
+               ``repro.mem.walk_backend()`` says whether the compiled
+               memory walk or its Python fallback ran).
 
 Examples::
 

@@ -6,7 +6,7 @@ from repro.hw.controller import HardHarvestController
 from repro.hw.isa import CoreIsa, GrpcCompletionQueue, ThriftServerSocket
 from repro.hw.noc import ControlTree, MeshNetwork
 from repro.hw.queue_manager import HarvestMaskRegister, QueueManager
-from repro.hw.request_queue import RequestQueue, RequestStatus, Subqueue
+from repro.hw.request_queue import RequestQueue, Subqueue
 from repro.hw.storage_cost import (
     StorageReport,
     compute_storage_report,
@@ -25,7 +25,6 @@ __all__ = [
     "HarvestMaskRegister",
     "RequestQueue",
     "Subqueue",
-    "RequestStatus",
     "VmStateRegisterSet",
     "NAMED_REGISTERS",
     "RequestContextMemory",

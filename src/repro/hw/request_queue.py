@@ -14,35 +14,13 @@ Entries hold a pointer to the request payload in the LLC plus a 2-bit status
 from __future__ import annotations
 
 from collections import deque
-from enum import Enum
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
-from repro.sim.engine import sched_slowpath_enabled
-
-
-class RequestStatus(Enum):
-    """The 2-bit status of an RQ entry (Section 6.8's status bits)."""
-
-    READY = "ready"
-    RUNNING = "running"
-    BLOCKED = "blocked"
-
-
-#: Byte encoding of :class:`RequestStatus` for the status-code mirror
-#: (``Subqueue._codes``): the scan kernels search raw bytes instead of
-#: walking entry objects.  READY must be 0 — ``bytearray.find(0)`` is the
-#: oldest-READY search.
+#: The 2-bit status of an RQ entry (Section 6.8's status bits), stored as
+#: one byte per entry in ``Subqueue._codes``.  READY must be 0 —
+#: ``bytearray.find(0)`` is the oldest-READY search.
 CODE_READY, CODE_RUNNING, CODE_BLOCKED = 0, 1, 2
-
-
-class RqEntry:
-    """One RQ entry: a payload pointer and its status bits."""
-
-    __slots__ = ("request", "status")
-
-    def __init__(self, request: object):
-        self.request = request
-        self.status = RequestStatus.READY
+_STATUS_NAMES = ("ready", "running", "blocked")
 
 
 class Subqueue:
@@ -52,27 +30,21 @@ class Subqueue:
     entries/chunk); beyond that, pointers go to the In-memory Overflow
     Subqueue, and are promoted into hardware as entries retire.
 
-    Alongside ``entries`` the subqueue maintains two mirrors that every
-    mutation keeps in sync (the structural counterpart of the cache
-    model's tag index): ``_codes``, a bytearray of per-entry status codes
-    positionally aligned with ``entries``, and ``_ready_count``, the
-    number of READY entries.  The fast path (default) answers
-    ``has_ready``/``ready_count`` from the counter and finds the oldest
-    READY entry with a C-speed byte search; ``REPRO_SCHED_SLOWPATH=1``
-    keeps the reference linear scans over the entry objects.  Both paths
-    run over the same structures and return identical results.
+    An entry is a request pointer in ``entries`` plus its status byte at
+    the same position in ``_codes``; ``_ready_count`` counts the READY
+    bytes.  ``has_ready``/``ready_count`` read the counter, and the oldest
+    READY entry is one ``bytearray.find`` away.
     """
 
     def __init__(self, vm_id: int, entries_per_chunk: int):
         self.vm_id = vm_id
         self.entries_per_chunk = entries_per_chunk
         self.rq_map: List[int] = []  # physical chunk ids, logical order
-        self.entries: List[RqEntry] = []
+        self.entries: List[object] = []
         self.overflow: Deque[object] = deque()
         self.overflow_highwater = 0
         self._codes = bytearray()
         self._ready_count = 0
-        self._fast = not sched_slowpath_enabled()
 
     @property
     def capacity(self) -> int:
@@ -87,7 +59,7 @@ class Subqueue:
         """Add a request; returns True if it landed in hardware, False if it
         spilled to the overflow subqueue."""
         if len(self.entries) < self.capacity:
-            self.entries.append(RqEntry(request))
+            self.entries.append(request)
             self._codes.append(CODE_READY)
             self._ready_count += 1
             return True
@@ -97,82 +69,64 @@ class Subqueue:
 
     def _promote_overflow(self) -> None:
         while self.overflow and len(self.entries) < self.capacity:
-            self.entries.append(RqEntry(self.overflow.popleft()))
+            self.entries.append(self.overflow.popleft())
             self._codes.append(CODE_READY)
             self._ready_count += 1
 
     def dequeue_ready(self) -> Optional[object]:
         """Oldest READY entry, marked RUNNING; None if there is none."""
-        if self._fast:
-            if not self._ready_count:
-                return None
-            i = self._codes.find(CODE_READY)
-            entry = self.entries[i]
-        else:
-            # Reference: linear scan over the entry objects.
-            i = -1
-            for j, entry in enumerate(self.entries):
-                if entry.status is RequestStatus.READY:
-                    i = j
-                    break
-            if i < 0:
-                return None
-            entry = self.entries[i]
-        entry.status = RequestStatus.RUNNING
+        if not self._ready_count:
+            return None
+        i = self._codes.find(CODE_READY)
         self._codes[i] = CODE_RUNNING
         self._ready_count -= 1
-        return entry.request
+        return self.entries[i]
 
     def has_ready(self) -> bool:
-        if self._fast:
-            return self._ready_count > 0
-        return any(e.status is RequestStatus.READY for e in self.entries)
+        return self._ready_count > 0
 
     def ready_count(self) -> int:
         """Number of READY entries in hardware."""
-        if self._fast:
-            return self._ready_count
-        return sum(1 for e in self.entries if e.status is RequestStatus.READY)
+        return self._ready_count
 
-    def _find(self, request: object) -> Tuple[int, RqEntry]:
+    def _index(self, request: object) -> int:
+        """Position of ``request`` in hardware (by identity), or -1."""
         for i, entry in enumerate(self.entries):
-            if entry.request is request:
-                return i, entry
-        raise KeyError(f"request {request!r} not present in subqueue of VM {self.vm_id}")
+            if entry is request:
+                return i
+        return -1
+
+    def _locate(self, request: object, expected: int, verb: str) -> int:
+        """Position of ``request``, which must be in status ``expected``."""
+        i = self._index(request)
+        if i < 0:
+            raise KeyError(
+                f"request {request!r} not present in subqueue of VM {self.vm_id}"
+            )
+        code = self._codes[i]
+        if code != expected:
+            raise ValueError(f"cannot {verb} a {_STATUS_NAMES[code]} request")
+        return i
 
     def mark_blocked(self, request: object) -> None:
         """The core informed the QM that this request blocked on I/O.
 
         The entry stays in the subqueue (Section 4.1.5)."""
-        i, entry = self._find(request)
-        if entry.status is not RequestStatus.RUNNING:
-            raise ValueError(f"cannot block a {entry.status.value} request")
-        entry.status = RequestStatus.BLOCKED
-        self._codes[i] = CODE_BLOCKED
+        self._codes[self._locate(request, CODE_RUNNING, "block")] = CODE_BLOCKED
 
     def mark_ready(self, request: object) -> None:
         """The NIC received the response for a blocked request."""
-        i, entry = self._find(request)
-        if entry.status is not RequestStatus.BLOCKED:
-            raise ValueError(f"cannot ready a {entry.status.value} request")
-        entry.status = RequestStatus.READY
-        self._codes[i] = CODE_READY
+        self._codes[self._locate(request, CODE_BLOCKED, "ready")] = CODE_READY
         self._ready_count += 1
 
     def requeue_ready(self, request: object) -> None:
         """Return a preempted RUNNING request to READY state (Figure 10b)."""
-        i, entry = self._find(request)
-        if entry.status is not RequestStatus.RUNNING:
-            raise ValueError(f"cannot requeue a {entry.status.value} request")
-        entry.status = RequestStatus.READY
-        self._codes[i] = CODE_READY
+        self._codes[self._locate(request, CODE_RUNNING, "requeue")] = CODE_READY
         self._ready_count += 1
 
     def complete(self, request: object) -> None:
         """Remove a finished request and promote overflow entries."""
-        i, entry = self._find(request)
-        if entry.status is not RequestStatus.RUNNING:
-            raise ValueError(f"cannot complete a {entry.status.value} request")
+        i = self._locate(request, CODE_RUNNING, "complete")
         del self.entries[i]
         del self._codes[i]
         self._promote_overflow()
@@ -180,14 +134,14 @@ class Subqueue:
     def discard(self, request: object) -> bool:
         """Remove a request in any state (abandoned attempt: timeout, shed,
         hedge loser, crash kill). Returns False if it is not queued here."""
-        for i, entry in enumerate(self.entries):
-            if entry.request is request:
-                if entry.status is RequestStatus.READY:
-                    self._ready_count -= 1
-                del self.entries[i]
-                del self._codes[i]
-                self._promote_overflow()
-                return True
+        i = self._index(request)
+        if i >= 0:
+            if self._codes[i] == CODE_READY:
+                self._ready_count -= 1
+            del self.entries[i]
+            del self._codes[i]
+            self._promote_overflow()
+            return True
         try:
             self.overflow.remove(request)
             return True
@@ -198,8 +152,7 @@ class Subqueue:
         """Remove and return every queued request (server crash). The
         hardware loses all RQ state; overflow pointers die with the kernel
         structures that tracked them."""
-        drained = [entry.request for entry in self.entries]
-        drained.extend(self.overflow)
+        drained = self.entries + list(self.overflow)
         self.entries.clear()
         self.overflow.clear()
         self._codes.clear()
@@ -225,29 +178,15 @@ class Subqueue:
             raise ValueError(f"VM {self.vm_id} has no chunks to shed")
         chunk = self.rq_map.pop()
         while len(self.entries) > self.capacity:
-            displaced = self.entries.pop()
-            code = self._codes.pop()
-            if displaced.status is not RequestStatus.READY:
-                # Running/blocked entries must stay visible to the QM: put
-                # the newest READY one to overflow instead.
-                self.entries.append(displaced)
-                self._codes.append(code)
-                ready_idx = None
-                for i in range(len(self.entries) - 1, -1, -1):
-                    if self.entries[i].status is RequestStatus.READY:
-                        ready_idx = i
-                        break
-                if ready_idx is None:
-                    # Nothing evictable; tolerate transient over-capacity.
-                    break
-                moved = self.entries[ready_idx]
-                del self.entries[ready_idx]
-                del self._codes[ready_idx]
-                self._ready_count -= 1
-                self.overflow.appendleft(moved.request)
-            else:
-                self._ready_count -= 1
-                self.overflow.appendleft(displaced.request)
+            # The newest READY entry goes (the tail itself when READY):
+            # running/blocked entries must stay visible to the QM.
+            i = self._codes.rfind(CODE_READY)
+            if i < 0:
+                # Nothing evictable; tolerate transient over-capacity.
+                break
+            self.overflow.appendleft(self.entries.pop(i))
+            del self._codes[i]
+            self._ready_count -= 1
             self.overflow_highwater = max(self.overflow_highwater, len(self.overflow))
         return chunk
 

@@ -36,7 +36,6 @@ The array supports:
 from __future__ import annotations
 
 import mmap
-import os
 from collections.abc import Mapping
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
@@ -45,24 +44,8 @@ import numpy as np
 
 from repro.mem.replacement import HardHarvestPolicy, LruPolicy, ReplacementPolicy
 
-#: Environment switch selecting the reference implementation (per-access
-#: walk, per-element sampling).  Results are bit-identical either way — the
-#: parity suite proves it — so the slow path exists only as the baseline for
-#: ``benchmarks/hotpath_speedup.py`` and as a live replica of the seed
-#: behavior.
-SLOWPATH_ENV = "REPRO_MEM_SLOWPATH"
-
 #: Slots of ``SetAssocArray.meta``; the C kernel uses the same order.
 EPOCH, HITS, MISSES, EVICTIONS, WRITEBACKS, TOUCHED = range(6)
-
-
-def slowpath_enabled() -> bool:
-    """True when the reference (pre-fast-path) implementation is requested.
-
-    Read at *construction* time of each simulation, so flipping the
-    environment variable between runs in one process works.
-    """
-    return os.environ.get(SLOWPATH_ENV, "") not in ("", "0")
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,7 @@ from typing import Optional
 
 from repro.config import HierarchyConfig, PartitionConfig, ReplacementKind
 from repro.mem import kernel
-from repro.mem.cache import Cache, slowpath_enabled
+from repro.mem.cache import Cache
 from repro.mem.dram import DramModel
 from repro.mem.partition import WayPartition, full_mask
 from repro.mem.replacement import (
@@ -119,8 +119,7 @@ class CoreMemory:
         self._llc_steps: dict = {}
         self._arrays = (self.l1_tlb.array, self.l2_tlb.array, self.l1i.array,
                         self.l1d.array, self.l2.array)
-        if not slowpath_enabled():
-            self._bind_kernel()
+        self._bind_kernel()
 
     # ------------------------------------------------------------------
     # Access path

@@ -27,7 +27,7 @@ import tempfile
 import threading
 from typing import Optional, Tuple
 
-from repro.mem.cache import SLOWPATH_ENV, SetAssocArray, slowpath_enabled
+from repro.mem.cache import SetAssocArray
 from repro.mem.replacement import HardHarvestPolicy, LruPolicy, RripPolicy
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "walk.c")
@@ -271,7 +271,5 @@ def walk_backend() -> dict:
     """Which memory walk runs: ``{"backend": "c"|"python", "reason": ...}``.
 
     Host information only: it must never enter a digest or a cache key."""
-    if slowpath_enabled():
-        return {"backend": "python", "reason": f"{SLOWPATH_ENV} is set"}
     return {"backend": "c" if _LOADER.load() is not None else "python",
             "reason": _LOADER.reason}

@@ -49,7 +49,7 @@ import tempfile
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import repro
 
@@ -138,8 +138,7 @@ def _v2_decompress(data: bytes) -> bytes:
 def _slowpath() -> bool:
     """True when the data-plane fast path is disabled via the environment.
 
-    ``REPRO_DATAPLANE_SLOWPATH=1`` mirrors ``REPRO_MEM_SLOWPATH`` /
-    ``REPRO_SCHED_SLOWPATH``: it keeps the pre-fast-path reference
+    ``REPRO_DATAPLANE_SLOWPATH=1`` keeps the pre-fast-path reference
     behavior in-tree (legacy full-payload keying in the runner, v1 cache
     entries, no memory layer) so benchmarks can measure the fast path
     against an honest baseline and CI can pin format-parity.

@@ -14,13 +14,12 @@ produce execution time (see :mod:`repro.cluster.server`).
 from __future__ import annotations
 
 import ctypes
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
 from repro.mem import kernel
 from repro.mem.address import AddressSpace, Region
-from repro.mem.cache import slowpath_enabled
 from repro.workloads.microservices import ServiceProfile
 
 #: Cache lines per 4 KB page at 64 B lines.
@@ -39,8 +38,6 @@ PRIVATE_POOL = 4
 #: Fraction of data references that are stores.
 WRITE_FRACTION = 0.3
 
-Access = Tuple[int, bool, bool, bool]  # (address, shared, is_instr, is_write)
-
 
 class AccessBatch:
     """A segment's sampled accesses as parallel NumPy arrays.
@@ -49,8 +46,8 @@ class AccessBatch:
     consumes the arrays wholesale through :attr:`ptrs`, their four buffer
     addresses, taken once here (after converting to contiguous int64/bool
     arrays); iterating yields the classic ``(addr, shared, instr, write)``
-    tuples (Python scalars) so per-access consumers — the reference slow
-    path, tests — keep working unchanged.
+    tuples (Python scalars) for per-access consumers (the per-access walk,
+    tests).
     """
 
     __slots__ = ("addr", "shared", "instr", "write", "ptrs")
@@ -171,8 +168,7 @@ class ServiceMemory:
         #: Class draws below 0.30 fetch instructions, below this read shared
         #: data, above it touch the invocation's private pages.
         self._shared_below = 0.30 + 0.70 * profile.shared_ref_fraction
-        self._fast = not slowpath_enabled()
-        functions = kernel.sample_functions() if self._fast else None
+        functions = kernel.sample_functions()
         self._compiled = None if functions is None else _CompiledSampler(
             functions, HOT_LINES_PER_PAGE, PAGE_SKEW)
         self._classes: dict = {}  # id(private region) -> (address, Classes, region)
@@ -190,15 +186,13 @@ class ServiceMemory:
 
         Mix: ~30% instruction fetches (always shared), the rest data split
         between shared and private pages per the profile.  The compiled
-        sampler (or, without a compiler, :meth:`_sample_numpy`) is
-        bit-identical to the reference scalar loop in draws and results
-        (pinned by the hot-path parity suite).  A compiled batch is reused:
-        it is valid until the next ``sample()`` on this object.
+        sampler and, without a compiler, :meth:`_sample_numpy` are
+        bit-identical in draws and results (``tests/test_sample_kernel.py``).
+        A compiled batch is reused: it is valid until the next ``sample()``
+        on this object.
         """
         compiled = self._compiled
         if compiled is None:
-            if not self._fast:
-                return self._sample_reference(rng, n, private)
             return self._sample_numpy(rng, n, private)
         if n <= 0:
             return _EMPTY_BATCH
@@ -242,37 +236,6 @@ class ServiceMemory:
         write = is_write & ~shared_page
         return AccessBatch(addr, shared_page, instr_m, write)
 
-    def _sample_reference(
-        self, rng: np.random.Generator, n: int, private: Region
-    ) -> List[Access]:
-        """The original per-element sampling loop (REPRO_MEM_SLOWPATH).
-
-        Kept as the live baseline for ``benchmarks/hotpath_speedup.py``;
-        draws and results are bit-identical to :meth:`sample`.
-        """
-        if n <= 0:
-            return []
-        kind = rng.random(n)
-        page_u = rng.random(n) ** PAGE_SKEW
-        line = rng.integers(0, HOT_LINES_PER_PAGE, n)
-        is_write = rng.random(n) < WRITE_FRACTION
-        out: List[Access] = []
-        for i in range(n):
-            k = kind[i]
-            if k < 0.30:
-                region, instr = self.instr, True
-            elif k < self._shared_below:
-                region, instr = self.shared, False
-            else:
-                region, instr = private, False
-            page = int(page_u[i] * region.num_pages)
-            if page >= region.num_pages:
-                page = region.num_pages - 1
-            addr = region.line_addr(page, int(line[i]))
-            write = bool(is_write[i]) and not instr and not region.shared
-            out.append((addr, region.shared, instr, write))
-        return out
-
 
 class BatchMemory:
     """Address regions and access sampling for a batch job.
@@ -290,8 +253,7 @@ class BatchMemory:
         self.skew = skew
         self._base_code = self.code.addr(0)
         self._base_data = self.data.addr(0)
-        self._fast = not slowpath_enabled()
-        functions = kernel.sample_functions() if self._fast else None
+        functions = kernel.sample_functions()
         self._compiled = None if functions is None else _CompiledSampler(
             functions, 2 * HOT_LINES_PER_PAGE, skew)
         if self._compiled is not None:
@@ -307,8 +269,6 @@ class BatchMemory:
         ``sample()`` on this object)."""
         compiled = self._compiled
         if compiled is None:
-            if not self._fast:
-                return self._sample_reference(rng, n)
             return self._sample_numpy(rng, n)
         if n <= 0:
             return _EMPTY_BATCH
@@ -333,26 +293,3 @@ class BatchMemory:
         addr = base + page * _PAGE_BYTES + line * _LINE_BYTES
         write = is_write & ~code_m
         return AccessBatch(addr, code_m, code_m, write)
-
-    def _sample_reference(self, rng: np.random.Generator, n: int) -> List[Access]:
-        """The original per-element sampling loop (REPRO_MEM_SLOWPATH)."""
-        if n <= 0:
-            return []
-        kind = rng.random(n)
-        page_u = rng.random(n) ** self.skew
-        line = rng.integers(0, 2 * HOT_LINES_PER_PAGE, n)
-        is_write = rng.random(n) < WRITE_FRACTION
-        out: List[Access] = []
-        for i in range(n):
-            if kind[i] < 0.2:
-                region, instr = self.code, True
-            else:
-                region, instr = self.data, False
-            page = int(page_u[i] * region.num_pages)
-            if page >= region.num_pages:
-                page = region.num_pages - 1
-            write = bool(is_write[i]) and not instr
-            out.append(
-                (region.line_addr(page, int(line[i])), region.shared, instr, write)
-            )
-        return out

@@ -5,11 +5,11 @@ The digest of a run is the sha256 of the canonical JSON of its full
 hit rate, counter, and resilience metric participates, so *any* numeric
 perturbation introduced by a hot-path change flips the digest.
 
-``tests/data/golden_hotpath.json`` pins the digests produced by the
-original (pre-fast-path) per-access implementation; the parity tests
-assert that the memory fast path, the scheduler fast path
-(``REPRO_SCHED_SLOWPATH``), and every combination reproduce them
-bit-for-bit.  Regenerate with::
+``tests/data/golden_hotpath.json`` pins the digests first produced by
+the per-access, per-event implementations the hot paths replaced; the
+parity tests assert that the compiled memory path, its no-compiler
+fallback, and the scheduler reproduce them bit-for-bit.  Regenerate
+with::
 
     PYTHONPATH=src python tests/_hotpath_golden.py --write
 """

@@ -43,7 +43,7 @@ from repro.cluster_scale import (
 )
 from repro.config import SimulationConfig
 from repro.core.presets import hardharvest_block, noharvest
-from repro.faults.spec import ClientPolicy, FaultKind
+from repro.faults.spec import FaultKind
 from repro.workloads.batch import BATCH_JOBS
 from repro.workloads.suites import get_suite
 

@@ -7,16 +7,18 @@ the lifecycle of a handle after cancellation (stale-handle bookkeeping
 via :attr:`EventHandle.active`).
 
 The second half targets the batched same-timestamp drain
-(:meth:`Simulator._run_batched`): zero-delay events joining the current
-batch, stop()/max_events honored mid-batch, heap compaction triggered
-*inside* a drain, and probes firing between batches — each checked
-against the reference loop (``REPRO_SCHED_SLOWPATH=1``) where the
+(:meth:`Simulator.run`): zero-delay events joining the current batch,
+stop()/max_events honored mid-batch, heap compaction triggered *inside* a
+drain, and probes firing between batches — each checked against the
+one-event-at-a-time loop (``tests/_reference_engine.py``) where the
 orderings are subtle.
 """
 
 import pytest
 
-from repro.sim.engine import SCHED_SLOWPATH_ENV, Simulator
+from repro.sim.engine import Simulator
+
+from tests._reference_engine import reference_simulator
 
 
 def test_cancel_sibling_at_same_timestamp():
@@ -211,18 +213,13 @@ def test_rearm_must_target_now_or_later():
 # Batched same-timestamp drain
 # ----------------------------------------------------------------------
 
-def _both_paths(monkeypatch, scenario):
+def _both_paths(scenario):
     """Run ``scenario(sim) -> trace`` under the batched and the reference
-    loop; return both traces. The simulator is constructed *after* the
-    environment flip because the path choice is made at construction."""
-    monkeypatch.delenv(SCHED_SLOWPATH_ENV, raising=False)
-    fast = scenario(Simulator())
-    monkeypatch.setenv(SCHED_SLOWPATH_ENV, "1")
-    slow = scenario(Simulator())
-    return fast, slow
+    loop; return both traces."""
+    return scenario(Simulator()), scenario(reference_simulator())
 
 
-def test_mixed_schedule_cancel_rearm_matches_reference(monkeypatch):
+def test_mixed_schedule_cancel_rearm_matches_reference():
     """A same-timestamp soup of schedule/cancel/re-arm fires identically
     under the batched drain and the reference loop.
 
@@ -249,7 +246,7 @@ def test_mixed_schedule_cancel_rearm_matches_reference(monkeypatch):
         sim.run()
         return trace
 
-    fast, slow = _both_paths(monkeypatch, scenario)
+    fast, slow = _both_paths(scenario)
     assert fast == slow
     assert fast == [
         ("first", 10), ("survivor", 10), ("rearmed", 10), ("future", 15),
@@ -275,7 +272,7 @@ def test_zero_delay_chain_drains_in_one_batch():
     assert sim.now == 7
 
 
-def test_stop_mid_batch_suppresses_same_timestamp_tail(monkeypatch):
+def test_stop_mid_batch_suppresses_same_timestamp_tail():
     """stop() from inside a batch halts before the next same-timestamp
     event — identical to the reference loop's behavior."""
 
@@ -287,11 +284,11 @@ def test_stop_mid_batch_suppresses_same_timestamp_tail(monkeypatch):
         fired = sim.run()
         return trace, fired, sim.pending_live_events
 
-    fast, slow = _both_paths(monkeypatch, scenario)
+    fast, slow = _both_paths(scenario)
     assert fast == slow == (["a", "stop"], 2, 1)
 
 
-def test_max_events_honored_mid_batch(monkeypatch):
+def test_max_events_honored_mid_batch():
     """max_events cuts a batch short at exactly the same event as the
     reference loop, and events_fired stays consistent."""
 
@@ -302,7 +299,7 @@ def test_max_events_honored_mid_batch(monkeypatch):
         fired = sim.run(max_events=3)
         return trace, fired, sim.events_fired
 
-    fast, slow = _both_paths(monkeypatch, scenario)
+    fast, slow = _both_paths(scenario)
     assert fast == slow == ([0, 1, 2], 3, 3)
 
 
@@ -335,7 +332,7 @@ def test_compaction_mid_drain_keeps_batch_coherent():
     assert sim.pending_events == 0 and sim.pending_live_events == 0
 
 
-def test_compaction_mid_drain_matches_reference(monkeypatch):
+def test_compaction_mid_drain_matches_reference():
     """The mid-drain compaction scenario fires identically under the
     reference loop (which compacts the same way but pops one event at a
     time)."""
@@ -356,7 +353,7 @@ def test_compaction_mid_drain_matches_reference(monkeypatch):
         sim.run()
         return trace
 
-    fast, slow = _both_paths(monkeypatch, scenario)
+    fast, slow = _both_paths(scenario)
     assert fast == slow
     assert len(fast) == 1 + 20  # massacre + odd-indexed survivors
 
@@ -387,7 +384,7 @@ def test_probe_at_batch_timestamp_fires_before_first_live_event():
     assert trace == [("probe", 0), "event"]
 
 
-def test_probe_between_batches_matches_reference(monkeypatch):
+def test_probe_between_batches_matches_reference():
     """Probe interleaving with zero-delay batch extension is identical
     under both loops: continuations scheduled into the current batch fire
     before a probe stamped between this batch and the next.
@@ -411,6 +408,6 @@ def test_probe_between_batches_matches_reference(monkeypatch):
         sim.run()
         return trace
 
-    fast, slow = _both_paths(monkeypatch, scenario)
+    fast, slow = _both_paths(scenario)
     assert fast == slow
     assert [t[0] for t in fast] == ["a", "a0", "p", "b"]

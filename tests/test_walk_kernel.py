@@ -35,7 +35,7 @@ from repro.config import (
     TlbConfig,
 )
 from repro.mem import kernel, walk_backend
-from repro.mem.cache import SLOWPATH_ENV, Cache, SetAssocArray
+from repro.mem.cache import Cache, SetAssocArray
 from repro.mem.dram import DramModel
 from repro.mem.hierarchy import CoreMemory
 from repro.mem.replacement import LruPolicy, make_policy
@@ -280,12 +280,6 @@ def test_failing_compile_falls_back(monkeypatch, tmp_path):
     assert loader.reason.startswith("compile failed")
     assert walk_backend()["backend"] == "python"
     assert glob.glob(str(tmp_path / "*")) == []  # no half-written library
-
-
-def test_slowpath_env_reports_python(monkeypatch):
-    monkeypatch.setenv(SLOWPATH_ENV, "1")
-    assert walk_backend() == {"backend": "python",
-                              "reason": f"{SLOWPATH_ENV} is set"}
 
 
 @needs_kernel
